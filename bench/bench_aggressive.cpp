@@ -9,6 +9,7 @@
 
 #include "BenchCommon.h"
 #include "coalescing/Aggressive.h"
+#include "coalescing/ExactSearch.h"
 #include "npc/MultiwayCut.h"
 #include "npc/Theorem2Reduction.h"
 
@@ -42,7 +43,8 @@ static void BM_AggressiveExactOnTheorem2(benchmark::State &State) {
   uint64_t Nodes = 0;
   unsigned Uncoalesced = 0;
   for (auto _ : State) {
-    AggressiveResult Exact = aggressiveCoalesceExact(R.Problem);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(R.Problem, {ExactFeasibility::Any});
     Nodes = Exact.NodesExplored;
     Uncoalesced = Exact.Stats.UncoalescedAffinities;
     benchmark::DoNotOptimize(Nodes);
@@ -78,7 +80,8 @@ static void BM_GreedyVsExactGap(benchmark::State &State) {
             {U, V, 1.0 + static_cast<double>(Rand.nextBelow(5))});
     }
     GreedyTotal += aggressiveCoalesceGreedy(P).Stats.CoalescedWeight;
-    ExactTotal += aggressiveCoalesceExact(P).Stats.CoalescedWeight;
+    ExactTotal += exactCoalesceSearch(P, {ExactFeasibility::Any})
+                      .Stats.CoalescedWeight;
   }
   if (ExactTotal > 0)
     State.counters["greedy_over_exact"] = GreedyTotal / ExactTotal;

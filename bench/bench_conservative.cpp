@@ -8,8 +8,10 @@
 
 #include "BenchCommon.h"
 #include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "graph/ExactColoring.h"
 #include "npc/Theorem3Reduction.h"
+#include "testing/LegacyConservative.h"
 
 #include <benchmark/benchmark.h>
 
@@ -38,7 +40,7 @@ static void BM_ConservativeLegacy(benchmark::State &State) {
       static_cast<unsigned>(State.range(0)), 41);
   unsigned Coalesced = 0;
   for (auto _ : State) {
-    ConservativeResult R = conservativeCoalesceLegacy(P, Rule);
+    ConservativeResult R = testing::conservativeCoalesceLegacy(P, Rule);
     Coalesced = R.Stats.CoalescedAffinities;
     benchmark::DoNotOptimize(Coalesced);
   }
@@ -61,8 +63,8 @@ static void BM_Theorem3ExactSearch(benchmark::State &State) {
   uint64_t Nodes = 0;
   bool AllCoalesced = false;
   for (auto _ : State) {
-    ExactConservativeResult Exact =
-        conservativeCoalesceExact(R.Problem, /*RequireGreedy=*/false);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(R.Problem, {ExactFeasibility::ExactColor});
     Nodes = Exact.NodesExplored;
     AllCoalesced = Exact.Stats.UncoalescedAffinities == 0;
     benchmark::DoNotOptimize(Nodes);

@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "coalescing/ExactSearch.h"
 #include "coalescing/Optimistic.h"
 #include "npc/Theorem6Reduction.h"
 #include "npc/VertexCover.h"
@@ -38,7 +39,8 @@ static void BM_ExactDeCoalescingOnTheorem6(benchmark::State &State) {
   uint64_t Nodes = 0;
   unsigned Given = 0;
   for (auto _ : State) {
-    ExactConservativeResult Exact = optimisticDeCoalesceExact(R.Problem);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(R.Problem, {ExactFeasibility::Greedy});
     Nodes = Exact.NodesExplored;
     Given = Exact.Stats.UncoalescedAffinities;
     benchmark::DoNotOptimize(Nodes);

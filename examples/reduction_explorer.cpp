@@ -13,8 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "coalescing/Aggressive.h"
-#include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "coalescing/Optimistic.h"
 #include "graph/ExactColoring.h"
 #include "graph/Generators.h"
@@ -47,7 +46,8 @@ int main(int Argc, char **Argv) {
                                                              Rand);
     MultiwayCutResult Cut = solveMultiwayCutExact(Instance);
     Theorem2Reduction R = Theorem2Reduction::build(Instance);
-    AggressiveResult Exact = aggressiveCoalesceExact(R.Problem);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(R.Problem, {ExactFeasibility::Any});
     std::cout << "source graph: " << Instance.G.numVertices()
               << " vertices, " << Instance.G.numEdges()
               << " edges, 3 terminals\n";
@@ -63,8 +63,8 @@ int main(int Argc, char **Argv) {
     Graph H = randomGraph(6, 0.5, Rand);
     bool Colorable = exactKColoring(H, 3).Colorable;
     Theorem3Reduction R = Theorem3Reduction::build(H, 3);
-    ExactConservativeResult Exact =
-        conservativeCoalesceExact(R.Problem, /*RequireGreedy=*/false);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(R.Problem, {ExactFeasibility::ExactColor});
     bool AllCoalesced =
         Exact.Optimal && Exact.Stats.UncoalescedAffinities == 0;
     std::cout << "source graph: " << H.numVertices() << " vertices, "
@@ -101,7 +101,8 @@ int main(int Argc, char **Argv) {
     Graph G = randomBoundedDegreeGraph(5, 3, 0.6, Rand);
     VertexCoverResult Cover = solveVertexCoverExact(G);
     Theorem6Reduction R = Theorem6Reduction::build(G);
-    ExactConservativeResult Exact = optimisticDeCoalesceExact(R.Problem);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(R.Problem, {ExactFeasibility::Greedy});
     OptimisticResult Heuristic = optimisticCoalesce(R.Problem);
     std::cout << "source graph: " << G.numVertices() << " vertices, "
               << G.numEdges() << " edges (max degree 3)\n";

@@ -33,83 +33,3 @@ AggressiveResult rc::aggressiveCoalesceGreedy(const CoalescingProblem &P,
   Result.Stats = evaluateSolution(P, Result.Solution);
   return Result;
 }
-
-namespace {
-
-/// Depth-first branch and bound over include/exclude decisions per affinity.
-/// Branches speculate on the shared engine via checkpoint/rollback.
-class AggressiveSearch {
-public:
-  AggressiveSearch(const CoalescingProblem &P, uint64_t NodeLimit)
-      : P(P), WG(P.G), NodeLimit(NodeLimit) {
-    // Suffix weights for the admissible bound: the best we can still gain
-    // from affinity Index onward.
-    SuffixWeight.assign(P.Affinities.size() + 1, 0);
-    for (size_t I = P.Affinities.size(); I > 0; --I)
-      SuffixWeight[I - 1] = SuffixWeight[I] + P.Affinities[I - 1].Weight;
-  }
-
-  AggressiveResult run() {
-    // Seed the incumbent with the greedy solution so pruning bites early.
-    AggressiveResult Greedy = aggressiveCoalesceGreedy(P);
-    Best = Greedy.Solution;
-    BestWeight = Greedy.Stats.CoalescedWeight;
-
-    recurse(0, 0.0);
-
-    AggressiveResult Result;
-    Result.Solution = Best;
-    Result.Stats = evaluateSolution(P, Result.Solution);
-    Result.Optimal = !LimitHit;
-    Result.NodesExplored = Nodes;
-    return Result;
-  }
-
-private:
-  void recurse(size_t Index, double Gained) {
-    if (LimitHit)
-      return;
-    if (++Nodes > NodeLimit) {
-      LimitHit = true;
-      return;
-    }
-    if (Gained + SuffixWeight[Index] <= BestWeight + 1e-12)
-      return; // Cannot beat the incumbent.
-    if (Index == P.Affinities.size()) {
-      // Strict improvement guaranteed by the bound above.
-      Best = WG.solution();
-      BestWeight = Gained;
-      return;
-    }
-
-    const Affinity &A = P.Affinities[Index];
-    // Transitive merges may have coalesced this affinity already.
-    if (WG.sameClass(A.U, A.V)) {
-      recurse(Index + 1, Gained + A.Weight);
-      return;
-    }
-    if (!WG.interfere(A.U, A.V)) {
-      WG.checkpoint();
-      WG.merge(A.U, A.V);
-      recurse(Index + 1, Gained + A.Weight);
-      WG.rollback();
-    }
-    recurse(Index + 1, Gained);
-  }
-
-  const CoalescingProblem &P;
-  WorkGraph WG;
-  uint64_t NodeLimit;
-  uint64_t Nodes = 0;
-  bool LimitHit = false;
-  std::vector<double> SuffixWeight;
-  CoalescingSolution Best;
-  double BestWeight = -1;
-};
-
-} // namespace
-
-AggressiveResult rc::aggressiveCoalesceExact(const CoalescingProblem &P,
-                                             uint64_t NodeLimit) {
-  return AggressiveSearch(P, NodeLimit).run();
-}

@@ -8,8 +8,9 @@
 /// Aggressive coalescing (Section 3 of the paper): remove as many moves as
 /// possible with no constraint on the number of registers; only
 /// interferences can prevent coalescing. NP-complete by reduction from
-/// multiway cut (Theorem 2), so the module offers a weight-greedy heuristic
-/// and an exact branch-and-bound for small instances.
+/// multiway cut (Theorem 2), so the module offers a weight-greedy heuristic;
+/// the exact optimum is exactCoalesceSearch's Any regime
+/// (coalescing/ExactSearch.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,18 +20,12 @@
 #include "coalescing/Problem.h"
 #include "coalescing/Telemetry.h"
 
-#include <cstdint>
-
 namespace rc {
 
 /// Result of an aggressive coalescing run.
 struct AggressiveResult {
   CoalescingSolution Solution;
   CoalescingStats Stats;
-  /// Exact solver only: true when the search space was fully explored.
-  bool Optimal = false;
-  /// Exact solver only: search nodes visited.
-  uint64_t NodesExplored = 0;
 };
 
 /// Weight-greedy aggressive coalescing: processes affinities in decreasing
@@ -40,14 +35,6 @@ struct AggressiveResult {
 AggressiveResult aggressiveCoalesceGreedy(const CoalescingProblem &P,
                                           CoalescingTelemetry *Telemetry =
                                               nullptr);
-
-/// Exact aggressive coalescing by branch and bound over the affinity list:
-/// maximizes the coalesced weight. Exponential; intended for instances with
-/// at most a few dozen affinities (reduction verification).
-///
-/// \param NodeLimit aborts the search once exceeded (Optimal stays false).
-AggressiveResult aggressiveCoalesceExact(const CoalescingProblem &P,
-                                         uint64_t NodeLimit = UINT64_MAX);
 
 } // namespace rc
 

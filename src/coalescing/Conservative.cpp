@@ -2,7 +2,6 @@
 
 #include "coalescing/Conservative.h"
 
-#include "graph/ExactColoring.h"
 #include "graph/GreedyColorability.h"
 
 #include <algorithm>
@@ -74,10 +73,11 @@ bool rc::briggsTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
       Passed = true;
       Decided = true;
     } else {
-      // Sparse cached sweep: stamped scratch rows make common-neighbor
-      // checks O(1), so the count costs O(deg(u) + deg(v)) instead of the
-      // walk's binary search per neighbor. The sweep skips the endpoints
-      // like the walk does, so the limit needs no adjacency correction.
+      // Sparse cached sweep: a merge-walk over the two sorted rows finds
+      // the commons by comparison, so the count costs O(deg(u) + deg(v))
+      // instead of the walk's binary search per neighbor. The sweep skips
+      // the endpoints like the walk does, so the limit needs no adjacency
+      // correction.
       Passed = WG.briggsHighDegreeBelowSparse(CU, CV, K);
       Decided = true;
     }
@@ -243,14 +243,14 @@ private:
 } // namespace
 
 /// Runs \p Rule's safety test(s). On a brute-force rejection, \p StuckReps
-/// (when non-null) receives the stuck k-core — the rule's watch set; the
-/// Briggs/George watch sets are collected by the caller from the cached
-/// masks instead. Brute-force probes suppress \p Probe so their
-/// speculative merge does not wake parked affinities.
+/// receives the stuck k-core — the rule's watch set; the Briggs/George
+/// watch sets are collected by the caller from the cached masks instead.
+/// Brute-force probes suppress \p Probe so their speculative merge does
+/// not wake parked affinities.
 ///
-/// \p QuotientGreedy, when non-null, tracks whether the current quotient is
-/// known greedy-k-colorable. While it is, a cached Briggs/George pass
-/// screens the brute-force probe entirely: both tests preserve
+/// \p QuotientGreedy tracks whether the current quotient is known
+/// greedy-k-colorable. While it is, a cached Briggs/George pass screens
+/// the brute-force probe entirely: both tests preserve
 /// greedy-k-colorability (Section 4), so the speculative merge's
 /// colorability check is guaranteed to succeed and the accept/reject
 /// decision is unchanged. A probe that does run and passes establishes the
@@ -258,8 +258,8 @@ private:
 /// needs no up-front whole-graph check.
 static bool ruleAllows(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
                        ConservativeRule Rule,
-                       std::vector<unsigned> *StuckReps, TouchObserver *Probe,
-                       bool *QuotientGreedy) {
+                       std::vector<unsigned> &StuckReps, TouchObserver &Probe,
+                       bool &QuotientGreedy) {
   switch (Rule) {
   case ConservativeRule::Briggs:
     return briggsTest(WG, U, V, K);
@@ -270,19 +270,17 @@ static bool ruleAllows(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
     return briggsTest(WG, U, V, K) || georgeTest(WG, U, V, K) ||
            georgeTest(WG, V, U, K);
   case ConservativeRule::BruteForce: {
-    if (QuotientGreedy && *QuotientGreedy &&
+    if (QuotientGreedy &&
         (briggsTest(WG, U, V, K) || georgeTest(WG, U, V, K) ||
          georgeTest(WG, V, U, K))) {
       WG.note(EngineEvent::CachedTestSkip);
       return true;
     }
-    if (Probe)
-      Probe->Suppressed = true;
-    bool Passed = bruteForceTest(WG, U, V, K, StuckReps);
-    if (Probe)
-      Probe->Suppressed = false;
-    if (Passed && QuotientGreedy)
-      *QuotientGreedy = true;
+    Probe.Suppressed = true;
+    bool Passed = bruteForceTest(WG, U, V, K, &StuckReps);
+    Probe.Suppressed = false;
+    if (Passed)
+      QuotientGreedy = true;
     return Passed;
   }
   }
@@ -462,8 +460,8 @@ ConservativeResult rc::conservativeCoalesce(const CoalescingProblem &P,
         continue;
       }
       StuckReps.clear();
-      if (!ruleAllows(WG, A.U, A.V, P.K, Rule, &StuckReps, &Obs,
-                      &QuotientGreedy)) {
+      if (!ruleAllows(WG, A.U, A.V, P.K, Rule, StuckReps, Obs,
+                      QuotientGreedy)) {
         Cat[Idx] = Category::TestRejected;
         ParkStamp[Idx] = Obs.Stamp;
         unsigned CU = WG.classOf(A.U), CV = WG.classOf(A.V);
@@ -518,174 +516,4 @@ ConservativeResult rc::conservativeCoalesce(const CoalescingProblem &P,
          "conservative rule broke greedy-k-colorability");
 #endif
   return Result;
-}
-
-ConservativeResult
-rc::conservativeCoalesceLegacy(const CoalescingProblem &P,
-                               ConservativeRule Rule,
-                               CoalescingTelemetry *Telemetry,
-                               const CancelToken *Cancel) {
-  WorkGraph WG(P.G);
-  WG.attachTelemetry(Telemetry);
-  WG.setCancelToken(Cancel);
-  std::vector<unsigned> Order(P.Affinities.size());
-  std::iota(Order.begin(), Order.end(), 0u);
-  std::stable_sort(Order.begin(), Order.end(), [&P](unsigned A, unsigned B) {
-    return P.Affinities[A].Weight > P.Affinities[B].Weight;
-  });
-
-#ifdef RC_EXPENSIVE_CHECKS
-  bool InputGreedy = isGreedyKColorable(P.G, P.K);
-#endif
-
-  ConservativeResult Result;
-  std::vector<bool> Done(P.Affinities.size(), false);
-  bool Progress = true;
-  while (Progress && !Result.TimedOut) {
-    Progress = false;
-    if (Cancel)
-      Cancel->pollNow();
-    Result.TestRejections = 0;
-    Result.InterferenceRejections = 0;
-    for (unsigned Idx : Order) {
-      if (WG.cancelRequested()) {
-        Result.TimedOut = true;
-        break;
-      }
-      if (Done[Idx])
-        continue;
-      const Affinity &A = P.Affinities[Idx];
-      if (WG.sameClass(A.U, A.V)) {
-        Done[Idx] = true;
-        continue;
-      }
-      WG.note(EngineEvent::MergeAttempted, A.U, A.V);
-      if (WG.interfere(A.U, A.V)) {
-        ++Result.InterferenceRejections;
-        continue;
-      }
-      if (!ruleAllows(WG, A.U, A.V, P.K, Rule, nullptr, nullptr, nullptr)) {
-        ++Result.TestRejections;
-        continue;
-      }
-      WG.merge(A.U, A.V);
-      Done[Idx] = true;
-      Progress = true;
-    }
-  }
-
-  Result.Solution = WG.solution();
-  Result.Stats = evaluateSolution(P, Result.Solution);
-  // All three tests preserve greedy-k-colorability (Section 4). The full
-  // rebuild-and-recheck is two orders of magnitude more work than the
-  // driver itself at scale, so it compiles in only under
-  // -DRC_EXPENSIVE_CHECKS; the coalescer-sound fuzz property checks the
-  // same claim continuously.
-#ifdef RC_EXPENSIVE_CHECKS
-  assert((!InputGreedy ||
-          isGreedyKColorable(buildCoalescedGraph(P.G, Result.Solution),
-                             P.K)) &&
-         "conservative rule broke greedy-k-colorability");
-#endif
-  return Result;
-}
-
-namespace {
-
-/// Exhaustive include/exclude search over affinities with a feasibility
-/// check (k-colorability of the quotient) at the leaves. Branches merge on
-/// the shared engine under a checkpoint and roll back on return instead of
-/// copying the graph.
-class ExactConservativeSearch {
-public:
-  ExactConservativeSearch(const CoalescingProblem &P, bool RequireGreedy,
-                          uint64_t NodeLimit, const CancelToken *Cancel)
-      : P(P), WG(P.G), RequireGreedy(RequireGreedy), NodeLimit(NodeLimit) {
-    WG.setCancelToken(Cancel);
-    SuffixWeight.assign(P.Affinities.size() + 1, 0);
-    for (size_t I = P.Affinities.size(); I > 0; --I)
-      SuffixWeight[I - 1] = SuffixWeight[I] + P.Affinities[I - 1].Weight;
-  }
-
-  ExactConservativeResult run() {
-    recurse(0, 0.0);
-    ExactConservativeResult Result;
-    if (HasBest) {
-      Result.Solution = Best;
-    } else {
-      // Even the identity may be infeasible (G itself not k-colorable);
-      // report the identity partition with Optimal=false in that case.
-      Result.Solution = identitySolution(P.G);
-    }
-    Result.Stats = evaluateSolution(P, Result.Solution);
-    Result.Optimal = HasBest && !LimitHit && !CancelHit;
-    Result.NodesExplored = Nodes;
-    Result.TimedOut = CancelHit;
-    return Result;
-  }
-
-private:
-  bool feasible() {
-    if (RequireGreedy)
-      return WG.quotientGreedyKColorable(P.K);
-    return exactKColoring(WG.quotientGraph(), P.K).Colorable;
-  }
-
-  void recurse(size_t Index, double Gained) {
-    if (LimitHit || CancelHit)
-      return;
-    if (WG.cancelRequested()) {
-      // Unwinds through the pending rollback() calls below, so the engine
-      // lands back in its consistent pre-search state.
-      CancelHit = true;
-      return;
-    }
-    if (++Nodes > NodeLimit) {
-      LimitHit = true;
-      return;
-    }
-    if (HasBest && Gained + SuffixWeight[Index] <= BestWeight + 1e-12)
-      return;
-    if (Index == P.Affinities.size()) {
-      if (!feasible())
-        return;
-      Best = WG.solution();
-      BestWeight = Gained;
-      HasBest = true;
-      return;
-    }
-    const Affinity &A = P.Affinities[Index];
-    if (WG.sameClass(A.U, A.V)) {
-      recurse(Index + 1, Gained + A.Weight);
-      return;
-    }
-    if (!WG.interfere(A.U, A.V)) {
-      WG.checkpoint();
-      WG.merge(A.U, A.V);
-      recurse(Index + 1, Gained + A.Weight);
-      WG.rollback();
-    }
-    recurse(Index + 1, Gained);
-  }
-
-  const CoalescingProblem &P;
-  WorkGraph WG;
-  bool RequireGreedy;
-  uint64_t NodeLimit;
-  uint64_t Nodes = 0;
-  bool LimitHit = false;
-  bool CancelHit = false;
-  bool HasBest = false;
-  std::vector<double> SuffixWeight;
-  CoalescingSolution Best;
-  double BestWeight = -1;
-};
-
-} // namespace
-
-ExactConservativeResult
-rc::conservativeCoalesceExact(const CoalescingProblem &P, bool RequireGreedy,
-                              uint64_t NodeLimit,
-                              const CancelToken *Cancel) {
-  return ExactConservativeSearch(P, RequireGreedy, NodeLimit, Cancel).run();
 }

@@ -23,9 +23,13 @@
 /// tests read cached significant-neighbor counts and masked popcounts
 /// instead of walking neighbor sets) and parks rejected affinities on the
 /// classes that caused the rejection, re-testing one only after a merge
-/// touches a watched class. conservativeCoalesceLegacy keeps the original
-/// fixpoint re-scan as the differential-testing reference; both produce
-/// identical solutions.
+/// touches a watched class. The original fixpoint re-scan survives only as
+/// a differential-testing reference (testing/LegacyConservative.h); both
+/// produce identical solutions.
+///
+/// The exact conservative optimum (Theorem 3) is exactCoalesceSearch's
+/// ExactColor regime, and the greedy-k-colorable one its Greedy regime
+/// (coalescing/ExactSearch.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,45 +103,18 @@ struct ConservativeResult {
 /// instead of re-scanning the whole list to a fixed point, rejected
 /// affinities park on the classes that caused the rejection and are
 /// re-tested only once a merge dirties a watched class. Produces the same
-/// solution as conservativeCoalesceLegacy. When \p Telemetry is non-null
-/// the engine's event counters accumulate into it. When \p Cancel is
-/// non-null the driver stops at the first affinity boundary after the token
-/// expires, returning the partial result with TimedOut set; the rejection
-/// counters always describe exactly the affinities tested and still
-/// rejected in the returned (possibly partial) solution.
+/// solution as the fixpoint re-scan (testing::conservativeCoalesceLegacy).
+/// When \p Telemetry is non-null the engine's event counters accumulate
+/// into it. When \p Cancel is non-null the driver stops at the first
+/// affinity boundary after the token expires, returning the partial result
+/// with TimedOut set; the rejection counters always describe exactly the
+/// affinities tested and still rejected in the returned (possibly partial)
+/// solution.
 ConservativeResult conservativeCoalesce(const CoalescingProblem &P,
                                         ConservativeRule Rule,
                                         CoalescingTelemetry *Telemetry =
                                             nullptr,
                                         const CancelToken *Cancel = nullptr);
-
-/// The original fixpoint driver: re-scans every pending affinity each pass
-/// until a pass makes no progress. Kept as the reference implementation for
-/// differential testing (the conservative-worklist-parity fuzz property and
-/// the golden suite diff it against conservativeCoalesce); quadratic in
-/// passes x affinities, so not for production use.
-ConservativeResult
-conservativeCoalesceLegacy(const CoalescingProblem &P, ConservativeRule Rule,
-                           CoalescingTelemetry *Telemetry = nullptr,
-                           const CancelToken *Cancel = nullptr);
-
-/// Exact conservative coalescing for tiny instances: maximizes coalesced
-/// weight over all partitions induced by affinity subsets, subject to the
-/// coalesced graph being k-colorable (or greedy-k-colorable when
-/// \p RequireGreedy). Exponential in the number of affinities.
-struct ExactConservativeResult {
-  CoalescingSolution Solution;
-  CoalescingStats Stats;
-  bool Optimal = false;
-  uint64_t NodesExplored = 0;
-  /// True when the search was abandoned on an expired CancelToken; the
-  /// solution is the best feasible one found so far (Optimal stays false).
-  bool TimedOut = false;
-};
-ExactConservativeResult
-conservativeCoalesceExact(const CoalescingProblem &P, bool RequireGreedy,
-                          uint64_t NodeLimit = UINT64_MAX,
-                          const CancelToken *Cancel = nullptr);
 
 } // namespace rc
 

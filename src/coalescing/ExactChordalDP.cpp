@@ -128,7 +128,8 @@ ChordalDPResult rc::chordalIncrementalDP(const Graph &G, unsigned X,
     unsigned Vertex = ~0u; // ~0u marks a slack interval.
   };
   std::vector<Interval> Intervals;
-  unsigned XInterval = ~0u, YInterval = ~0u;
+  unsigned XInterval = ~0u;
+  [[maybe_unused]] unsigned YInterval = ~0u; // Read only by the asserts.
   for (unsigned V = 0; V < G.numVertices(); ++V) {
     unsigned Lo = ~0u, Hi = 0, Count = 0;
     for (unsigned Node : T.nodesContaining(V)) {

@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The exact branch-and-bound coalescing solver behind the optimality-gap
-/// dashboard (tools/rc_gap). It maximizes coalesced affinity weight over the
+/// The library's one exact coalescing solver: every optimum — the
+/// optimality-gap dashboard's (tools/rc_gap) baselines, the reduction
+/// checks of Theorems 2, 3 and 6, the exact-bb strategy — comes from this
+/// branch and bound. It maximizes coalesced affinity weight over the
 /// partitions induced by affinity subsets, under a selectable feasibility
 /// regime:
 ///
@@ -26,12 +28,18 @@
 ///                coalesced weight, chain merges included: a strategy
 ///                exceeding it has merged interfering vertices.
 ///
-/// Unlike the recursive conservativeCoalesceExact (kept as the reference
-/// implementation), this solver follows the explicit undo-stack search
-/// idiom (SNIPPETS.md, rakdver/coloring-book): an iterative decision stack
-/// over WorkGraph checkpoints, processing affinities in decreasing weight
-/// order, with two admissible bounds — a free suffix-weight bound and a
-/// per-node still-mergeable scan — plus the engine's cached safety tests:
+/// The regimes are the paper's three NP-complete optimization problems,
+/// which share this search space and differ only in the leaf test:
+/// aggressive coalescing (Any, Theorem 2), conservative coalescing
+/// (ExactColor, Theorem 3) and optimal de-coalescing (Greedy, Theorem 6).
+/// The fuzz oracles check all three against an independent naive subset
+/// enumerator (testing::bruteForceOptima).
+///
+/// The search follows the explicit undo-stack idiom (SNIPPETS.md,
+/// rakdver/coloring-book): an iterative decision stack over WorkGraph
+/// checkpoints, processing affinities in decreasing weight order, with two
+/// admissible bounds — a free suffix-weight bound and a per-node
+/// still-mergeable scan — plus the engine's cached safety tests:
 /// while every merge on the current branch passed the (cached, popcount)
 /// Briggs test the quotient is known greedy-k-colorable, so leaf
 /// colorability checks are skipped outright.

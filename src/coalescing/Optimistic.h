@@ -10,7 +10,8 @@
 /// de-coalesce ("give up") as few moves as possible until the graph becomes
 /// greedy-k-colorable. The optimal de-coalescing problem is NP-complete even
 /// for k = 4 and chordal graphs (Theorem 6, from vertex cover), so this
-/// module provides a heuristic plus an exact solver for small instances.
+/// module provides a heuristic; the exact optimum is exactCoalesceSearch's
+/// Greedy regime (coalescing/ExactSearch.h).
 ///
 /// De-coalescing semantics: a kept affinity set S induces the partition by
 /// connected components of S (within the aggressive classes); giving up an
@@ -24,8 +25,6 @@
 
 #include "coalescing/Conservative.h"
 #include "coalescing/Problem.h"
-
-#include <cstdint>
 
 namespace rc {
 
@@ -67,19 +66,6 @@ OptimisticResult optimisticCoalesce(const CoalescingProblem &P,
                                     const OptimisticOptions &Options = {},
                                     CoalescingTelemetry *Telemetry = nullptr,
                                     const CancelToken *Cancel = nullptr);
-
-/// Exact minimum-weight de-coalescing for tiny instances: maximizes kept
-/// affinity weight subject to the induced quotient being greedy-k-colorable.
-/// Identical search space to conservativeCoalesceExact with the greedy
-/// requirement; exposed under the optimistic name for clarity at call sites
-/// verifying Theorem 6.
-inline ExactConservativeResult
-optimisticDeCoalesceExact(const CoalescingProblem &P,
-                          uint64_t NodeLimit = UINT64_MAX,
-                          const CancelToken *Cancel = nullptr) {
-  return conservativeCoalesceExact(P, /*RequireGreedy=*/true, NodeLimit,
-                                   Cancel);
-}
 
 } // namespace rc
 

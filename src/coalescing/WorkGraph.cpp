@@ -82,13 +82,11 @@ void WorkGraph::enableDegreeCache(unsigned K) {
     return;
   }
   // Sparse mode keeps the same threshold masks (probed per neighbor by
-  // the stamped-scratch tests) plus the per-class significant-neighbor
+  // the merge-walk tests) plus the per-class significant-neighbor
   // counters the O(1) free-pass shortcuts read.
   SigCount.assign(N, 0);
   SigWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
   ExactKWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
-  ScratchA.resize(N);
-  ScratchB.resize(N);
   // Tiled rows build lazily per class (see tileRowReady); merges maintain
   // whichever rows exist from here on.
   Tiles.reset(N);
@@ -406,7 +404,7 @@ void WorkGraph::updateDegreeCache(unsigned Root, unsigned Loser,
   // the moment the class revives.
 
   // Sparse mode maintains the same threshold masks as dense mode (the
-  // stamped-scratch sweeps probe them per neighbor). Bit updates depend
+  // merge-walk tests probe them per neighbor). Bit updates depend
   // only on class degrees, so the undo direction restores them exactly.
   for (unsigned X : Commons) {
     unsigned NewDeg = classDegree(X);

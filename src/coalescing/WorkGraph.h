@@ -22,10 +22,10 @@
 ///    live in one pooled adjacency arena (support/AdjacencyArena) — the
 ///    primary representation, updated eagerly on every merge; tests
 ///    binary-search the smaller row. The cached Briggs/George sweeps keep
-///    paying off past the threshold via epoch-stamped scratch bit rows
-///    (support/StampedBitRow): one neighbor list is stamped, the other
-///    probed, so a safety test is O(deg(u) + deg(v)) with O(1) membership
-///    checks and no O(classes) clearing.
+///    paying off past the threshold as merge-walks over the two sorted
+///    rows, so a safety test is O(deg(u) + deg(v)) with commons falling
+///    out of the comparison; big tile-dense classes switch to popcount
+///    sweeps over tiled bit rows (support/TiledBitRows).
 ///  - Merge undo-log. checkpoint()/rollback() bracket speculative merges so
 ///    probing strategies (brute-force conservative test, exact branch and
 ///    bound, optimistic de-coalescing) no longer deep-copy the graph.
@@ -56,7 +56,6 @@
 #include "support/AdjacencyArena.h"
 #include "support/BitRows.h"
 #include "support/CancelToken.h"
-#include "support/StampedBitRow.h"
 #include "support/TiledBitRows.h"
 #include "support/VertexSpan.h"
 
@@ -224,7 +223,7 @@ public:
   ///
   /// Dispatches to the tiled popcount sweep when both classes have (or
   /// clear the degree threshold for lazily building) tiled bit rows, and
-  /// to the stamped-scratch walk otherwise; the two are decision-identical
+  /// to the sorted-row merge-walk otherwise; the two are decision-identical
   /// (sparse-tiled-parity fuzz property).
   bool briggsHighDegreeBelowSparse(unsigned CU, unsigned CV,
                                    unsigned Limit) const {
@@ -246,16 +245,17 @@ public:
   }
 
   /// The reference sorted-row scan behind briggsHighDegreeBelowSparse: one
-  /// scratch row is stamped with each endpoint's neighbors, so
-  /// common-neighbor checks are O(1) probes instead of binary searches;
-  /// significance and exactly-K come from the threshold masks the degree
-  /// cache maintains in both modes. Public so the parity fuzz property can
-  /// pit it against the tiled sweep directly.
+  /// merge-walk over both endpoints' rows, so common neighbors fall out of
+  /// the comparison instead of costing a binary search each; significance
+  /// and exactly-K come from the threshold masks the degree cache
+  /// maintains in both modes. Public so the parity fuzz property can pit it
+  /// against the tiled sweep directly.
   bool briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
                                        unsigned Limit) const;
 
-  /// The reference scan behind georgeWitnessesEmptySparse: stamps \p CV's
-  /// row once, then probes it per significant neighbor of \p CU.
+  /// The reference scan behind georgeWitnessesEmptySparse: walks \p CU's
+  /// row and probes \p CV's sorted row with a resumable forward cursor
+  /// per significant neighbor.
   bool georgeWitnessesEmptySparseWalk(unsigned CU, unsigned CV) const;
 
   /// Sparse cached mode: appends the Briggs blockers for a merge of \p CU
@@ -313,8 +313,8 @@ public:
 
   /// Sets the class degree at or above which sparse cached tests consider
   /// tiling a class (default DefaultTileMinDegree). Low-degree classes
-  /// stay on the stamped-scratch walk, which is cheaper than materializing
-  /// tiles for a handful of neighbors. 0 tiles everything unconditionally
+  /// stay on the merge-walk, which is cheaper than materializing tiles for
+  /// a handful of neighbors. 0 tiles everything unconditionally
   /// (bypassing the density gate too — the parity fuzz hook), ~0u disables
   /// tiling; decisions are identical at any setting. Takes effect on
   /// future lazy builds — call before the tests run.
@@ -518,15 +518,11 @@ private:
   /// SigWords/ExactKWords (both modes) are one bit per class: degree
   /// >= CacheK resp. == CacheK, with dead classes cleared. Dense mode
   /// sweeps them word-parallel against the bit rows; sparse mode probes
-  /// them per neighbor in the stamped-scratch tests.
+  /// them per neighbor in the merge-walk tests.
   unsigned CacheK = 0;
   std::vector<unsigned> SigCount;
   std::vector<uint64_t> SigWords;
   std::vector<uint64_t> ExactKWords;
-  /// Sparse cached tests: reusable scratch bit rows (O(1) clear via epoch
-  /// stamps). Mutable — the tests are logically const.
-  mutable StampedBitRow ScratchA;
-  mutable StampedBitRow ScratchB;
   /// appendBriggsHighDegreeSparse: holds \p CV's exclusive blockers during
   /// the merge-walk so they can follow \p CU's in legacy walk order
   /// without a per-call allocation.

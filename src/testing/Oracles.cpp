@@ -21,6 +21,7 @@
 #include "support/UnionFind.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <sstream>
 
@@ -239,8 +240,7 @@ bool testing::checkDifferentialExact(const CoalescingProblem &P,
     return fail(Error, "instance too large for the exact differential oracle");
 
   bool InputGreedy = isGreedyKColorable(P.G, P.K);
-  ExactConservativeResult Exact =
-      conservativeCoalesceExact(P, /*RequireGreedy=*/true);
+  ExactSearchResult Exact = exactCoalesceSearch(P, {ExactFeasibility::Greedy});
   if (!Exact.Optimal)
     return fail(Error, "exact conservative search did not complete");
   const double Eps = 1e-6;
@@ -281,8 +281,8 @@ bool testing::checkDifferentialExact(const CoalescingProblem &P,
   unsigned Omega =
       P.G.numVertices() && isChordal(P.G) ? chordalCliqueNumber(P.G) : ~0u;
   if (Omega != ~0u && P.K >= Omega && P.K > 0) {
-    ExactConservativeResult ExactAny =
-        conservativeCoalesceExact(P, /*RequireGreedy=*/false);
+    ExactSearchResult ExactAny =
+        exactCoalesceSearch(P, {ExactFeasibility::ExactColor});
     if (!ExactAny.Optimal)
       return fail(Error, "exact (non-greedy) search did not complete");
     ChordalStrategyResult C = chordalCoalesce(P);
@@ -303,73 +303,78 @@ bool testing::checkDifferentialExact(const CoalescingProblem &P,
 }
 
 //===----------------------------------------------------------------------===//
-// Oracle 7: the exact baselines agree with each other and bound everyone.
+// Oracle 7: the exact baselines agree with brute force and bound everyone.
 //===----------------------------------------------------------------------===//
+
+BruteForceOptima testing::bruteForceOptima(const CoalescingProblem &P) {
+  const unsigned N = P.G.numVertices();
+  const size_t NumAff = P.Affinities.size();
+  assert(NumAff <= BruteForceAffinityLimit &&
+         "brute-force enumeration over too many affinities");
+  BruteForceOptima Best;
+  for (uint64_t Mask = 0; Mask < (uint64_t(1) << NumAff); ++Mask) {
+    UnionFind Classes(N);
+    for (size_t A = 0; A < NumAff; ++A)
+      if (Mask & (uint64_t(1) << A))
+        Classes.merge(P.Affinities[A].U, P.Affinities[A].V);
+    CoalescingSolution S;
+    S.ClassIds = Classes.denseClassIds();
+    S.NumClasses = Classes.numClasses();
+    if (!isValidCoalescing(P.G, S))
+      continue;
+    double Weight = evaluateSolution(P, S).CoalescedWeight;
+    Best.Any = std::max(Best.Any, Weight);
+    Graph Q = buildCoalescedGraph(P.G, S);
+    if (exactKColoring(Q, P.K).Colorable)
+      Best.KColor = std::max(Best.KColor, Weight);
+    if (isGreedyKColorable(Q, P.K))
+      Best.Greedy = std::max(Best.Greedy, Weight);
+  }
+  return Best;
+}
 
 bool testing::checkExactGapSound(const CoalescingProblem &P,
                                  std::string *Error) {
-  if (P.G.numVertices() > 12)
+  if (P.G.numVertices() > 12 ||
+      P.Affinities.size() > BruteForceAffinityLimit)
     return fail(Error, "instance too large for the exact gap oracle");
   if (!isGreedyKColorable(P.G, P.K))
     return true; // The exact baselines are only defined at feasible pressure.
   const double Eps = 1e-6;
   std::string Why;
 
-  // The two exact searches over the same feasibility space must agree on
-  // the optimum: the undo-stack branch-and-bound (ExactSearch) against the
-  // subset-enumeration search (conservativeCoalesceExact), in both regimes.
-  ExactSearchOptions Greedy;
-  Greedy.Feasibility = ExactFeasibility::Greedy;
-  ExactSearchResult GreedyBB = exactCoalesceSearch(P, Greedy);
-  if (!GreedyBB.Optimal)
-    return fail(Error, "unlimited greedy branch-and-bound did not complete");
-  if (!checkSolutionSound(P, GreedyBB.Solution, /*RequireGreedy=*/true, &Why))
-    return fail(Error, "exact greedy search: " + Why);
-  ExactConservativeResult GreedyEnum =
-      conservativeCoalesceExact(P, /*RequireGreedy=*/true);
-  if (!GreedyEnum.Optimal)
-    return fail(Error, "exact subset enumeration did not complete");
-  if (std::abs(GreedyBB.BestWeight - GreedyEnum.Stats.CoalescedWeight) >
-      Eps) {
-    std::ostringstream OS;
-    OS << "greedy optima disagree: branch-and-bound " << GreedyBB.BestWeight
-       << " vs subset enumeration " << GreedyEnum.Stats.CoalescedWeight;
-    return fail(Error, OS.str());
+  // The branch and bound must reach the brute-force optimum in every
+  // feasibility regime, with a partition that is sound for the regime.
+  BruteForceOptima Brute = bruteForceOptima(P);
+  struct Regime {
+    ExactFeasibility Feasibility;
+    double BruteOptimum;
+  } Regimes[] = {{ExactFeasibility::Greedy, Brute.Greedy},
+                 {ExactFeasibility::ExactColor, Brute.KColor},
+                 {ExactFeasibility::Any, Brute.Any}};
+  for (const Regime &R : Regimes) {
+    std::string Name = exactFeasibilityName(R.Feasibility);
+    ExactSearchResult BB = exactCoalesceSearch(P, {R.Feasibility});
+    if (!BB.Optimal)
+      return fail(Error,
+                  "unlimited " + Name + " branch-and-bound did not complete");
+    bool RequireGreedy = R.Feasibility == ExactFeasibility::Greedy;
+    if (!checkSolutionSound(P, BB.Solution, RequireGreedy, &Why))
+      return fail(Error, "exact " + Name + " search: " + Why);
+    if (std::abs(BB.BestWeight - R.BruteOptimum) > Eps) {
+      std::ostringstream OS;
+      OS << Name << " optima disagree: branch-and-bound " << BB.BestWeight
+         << " vs brute-force enumeration " << R.BruteOptimum;
+      return fail(Error, OS.str());
+    }
   }
-
-  ExactSearchOptions Color;
-  Color.Feasibility = ExactFeasibility::ExactColor;
-  ExactSearchResult ColorBB = exactCoalesceSearch(P, Color);
-  if (!ColorBB.Optimal)
-    return fail(Error, "unlimited kcolor branch-and-bound did not complete");
-  if (!checkSolutionSound(P, ColorBB.Solution, /*RequireGreedy=*/false,
-                          &Why))
-    return fail(Error, "exact kcolor search: " + Why);
-  ExactConservativeResult ColorEnum =
-      conservativeCoalesceExact(P, /*RequireGreedy=*/false);
-  if (!ColorEnum.Optimal)
-    return fail(Error, "exact kcolor subset enumeration did not complete");
-  if (std::abs(ColorBB.BestWeight - ColorEnum.Stats.CoalescedWeight) > Eps) {
-    std::ostringstream OS;
-    OS << "kcolor optima disagree: branch-and-bound " << ColorBB.BestWeight
-       << " vs subset enumeration " << ColorEnum.Stats.CoalescedWeight;
-    return fail(Error, OS.str());
-  }
-
-  ExactSearchOptions Any;
-  Any.Feasibility = ExactFeasibility::Any;
-  ExactSearchResult AnyBB = exactCoalesceSearch(P, Any);
-  if (!AnyBB.Optimal)
-    return fail(Error, "unlimited any branch-and-bound did not complete");
-  if (!checkSolutionSound(P, AnyBB.Solution, /*RequireGreedy=*/false, &Why))
-    return fail(Error, "exact any search: " + Why);
 
   // The three feasibility spaces nest: greedy-k-colorable quotients are
   // k-colorable, and k-colorable partitions are in particular valid.
-  if (GreedyBB.BestWeight > ColorBB.BestWeight + Eps)
+  if (Brute.Greedy > Brute.KColor + Eps)
     return fail(Error,
                 "greedy optimum exceeds the kcolor optimum (smaller space)");
-  if (ColorBB.BestWeight > AnyBB.BestWeight + Eps)
+  if (Brute.KColor > Brute.Any + Eps)
     return fail(Error,
                 "kcolor optimum exceeds the aggressive optimum");
 
@@ -390,27 +395,26 @@ bool testing::checkExactGapSound(const CoalescingProblem &P,
     StrategyContext Ctx(T);
     CoalescingSolution S = Info.Run(P, StrategyOptions(), Ctx);
     CoalescingStats Stats = evaluateSolution(P, S);
-    if (Stats.CoalescedWeight > AnyBB.BestWeight + Eps) {
+    if (Stats.CoalescedWeight > Brute.Any + Eps) {
       std::ostringstream OS;
       OS << Info.Name << " coalesced weight " << Stats.CoalescedWeight
-         << " exceeds the exact aggressive optimum " << AnyBB.BestWeight
+         << " exceeds the exact aggressive optimum " << Brute.Any
          << " (merged interfering vertices)";
       return fail(Error, OS.str());
     }
     if (Info.Name != "aggressive" &&
-        Stats.CoalescedWeight > ColorBB.BestWeight + Eps) {
+        Stats.CoalescedWeight > Brute.KColor + Eps) {
       std::ostringstream OS;
       OS << Info.Name << " coalesced weight " << Stats.CoalescedWeight
-         << " exceeds the exact k-colorable optimum " << ColorBB.BestWeight
+         << " exceeds the exact k-colorable optimum " << Brute.KColor
          << " (unsound merge)";
       return fail(Error, OS.str());
     }
     if (InGreedySpace(Info.Name) &&
-        Stats.CoalescedWeight > GreedyBB.BestWeight + Eps) {
+        Stats.CoalescedWeight > Brute.Greedy + Eps) {
       std::ostringstream OS;
       OS << Info.Name << " coalesced weight " << Stats.CoalescedWeight
-         << " exceeds the exact greedy-feasibility optimum "
-         << GreedyBB.BestWeight;
+         << " exceeds the exact greedy-feasibility optimum " << Brute.Greedy;
       return fail(Error, OS.str());
     }
   }

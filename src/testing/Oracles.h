@@ -26,12 +26,12 @@
 ///  6. checkWorkGraphRollback     -- checkpoint/rollback round-trips restore
 ///     the exact partition, and the dense (BitMatrix) and sparse
 ///     (sorted-vector) adjacency representations agree on everything.
-///  7. checkExactGapSound         -- the two exact baselines (undo-stack
-///     branch-and-bound, subset enumeration) agree on the optimum in both
-///     feasibility regimes, every strategy is bounded by the matching
-///     optimum, and on chordal inputs the three Theorem 5 decision
-///     implementations (BFS marking, clique-tree DP, equality-constrained
-///     exact coloring) agree per affinity.
+///  7. checkExactGapSound         -- the exact branch-and-bound agrees with
+///     an independent brute-force subset enumerator (bruteForceOptima) on
+///     the optimum in all three feasibility regimes, every strategy is
+///     bounded by the matching optimum, and on chordal inputs the three
+///     Theorem 5 decision implementations (BFS marking, clique-tree DP,
+///     equality-constrained exact coloring) agree per affinity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,27 +82,49 @@ bool checkCoalescerSoundness(const CoalescingProblem &P, std::string *Error,
                              const std::vector<std::string> *Only = nullptr);
 
 /// Oracle 4. Differential comparison against exact search, intended for
-/// instances of at most ~12 vertices: the branch-and-bound optimum
-/// (conservativeCoalesceExact) upper-bounds every heuristic's coalesced
-/// weight -- a heuristic exceeding it has performed a merge outside the
+/// instances of at most ~12 vertices: the greedy-regime optimum of
+/// exactCoalesceSearch upper-bounds every conservative rule's coalesced
+/// weight, and the k-colorable-regime optimum the Theorem 5 strategy's --
+/// a heuristic exceeding its bound has performed a merge outside the
 /// feasible space (unsound). Also re-validates each heuristic quotient with
 /// an exact k-coloring. \p GapOut, when non-null, receives the worst
 /// heuristic optimality gap (optimum minus heuristic weight).
 bool checkDifferentialExact(const CoalescingProblem &P, std::string *Error,
                             double *GapOut = nullptr);
 
+/// The three exact optima of one instance (coalesced weight), one per
+/// exactCoalesceSearch feasibility regime.
+struct BruteForceOptima {
+  double Greedy = 0;
+  double KColor = 0;
+  double Any = 0;
+};
+
+/// The most affinities bruteForceOptima accepts (2^14 subsets).
+constexpr size_t BruteForceAffinityLimit = 14;
+
+/// The independent reference for exactCoalesceSearch: enumerates every
+/// affinity subset, builds the induced partition with a UnionFind (no
+/// WorkGraph), and keeps the best weight whose quotient passes each
+/// regime's test -- none, exact k-coloring, greedy-k-colorability.
+/// Exponential in the number of affinities; requires at most
+/// BruteForceAffinityLimit of them. A regime with no feasible subset
+/// reports 0; when the input is greedy-k-colorable the identity is
+/// feasible in all three.
+BruteForceOptima bruteForceOptima(const CoalescingProblem &P);
+
 /// Oracle 7. Cross-checks the exact optimal baselines on instances of at
-/// most 12 vertices: exactCoalesceSearch (unlimited) must reach the same
-/// optimum as conservativeCoalesceExact in both the greedy and the exact
-/// k-colorable feasibility regimes, and the three optima must nest
-/// (greedy <= kcolor <= aggressive); every registered strategy must stay
-/// within the aggressive optimum, every one but aggressive within the
-/// k-colorable optimum, and the affinity-subset conservative strategies
-/// within the greedy optimum; on
-/// chordal inputs with omega <= k, the BFS Theorem 5 decision, the
-/// clique-tree DP, and exactKColoringWithEquality must agree per affinity
-/// (plus the DP's minimality guarantees against the BFS chain). Trivially
-/// true when the input is not greedy-k-colorable.
+/// most 12 vertices and BruteForceAffinityLimit affinities:
+/// exactCoalesceSearch (unlimited) must reach the bruteForceOptima optimum
+/// in all three feasibility regimes -- Greedy, ExactColor and Any -- and
+/// the three optima must nest (greedy <= kcolor <= aggressive); every
+/// registered strategy must stay within the aggressive optimum, every one
+/// but aggressive within the k-colorable optimum, and the affinity-subset
+/// conservative strategies within the greedy optimum; on chordal inputs
+/// with omega <= k, the BFS Theorem 5 decision, the clique-tree DP, and
+/// exactKColoringWithEquality must agree per affinity (plus the DP's
+/// minimality guarantees against the BFS chain). Trivially true when the
+/// input is not greedy-k-colorable.
 bool checkExactGapSound(const CoalescingProblem &P, std::string *Error);
 
 /// Oracle 5. Drives a WorkGraph over \p Steps random merge attempts drawn
@@ -126,7 +148,7 @@ bool checkWorkGraphRollback(const Graph &G, unsigned Steps, Rng &Rand,
 /// tiling every class row (setTileMinDegree(0)), one never tiling
 /// (setTileMinDegree(~0u)) — through the same \p Steps random checkpoint /
 /// merge / rollback script at pressure \p K, and checks that the tiled
-/// popcount sweeps and the stamped-scratch walks return identical
+/// popcount sweeps and the sorted-row merge-walks return identical
 /// briggsHighDegreeBelowSparse / georgeWitnessesEmptySparse decisions for
 /// random class pairs across a spread of limits, both through the
 /// dispatching entry points and by pitting the Walk and Tiled

@@ -11,6 +11,7 @@
 #include "graph/GreedyColorability.h"
 #include "ir/Function.h"
 #include "ir/ProgramGenerator.h"
+#include "testing/LegacyConservative.h"
 #include "testing/Oracles.h"
 #include "testing/Shrinker.h"
 
@@ -549,7 +550,7 @@ const std::vector<Property> &testing::allProperties() {
     Props.push_back(
         {"sparse-tiled-parity",
          "tiled sparse bit-row Briggs/George sweeps are decision-identical "
-         "to the stamped-scratch walks through merges and rollbacks",
+         "to the sorted-row merge-walks through merges and rollbacks",
          [](Rng &Rand, const FuzzConfig &Config, uint64_t Trial) {
            CoalescingProblem P =
                generateTiledParityInstance(Rand, Config.MaxSize);

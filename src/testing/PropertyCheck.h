@@ -27,7 +27,7 @@
 ///   format-roundtrip             text/binary serializations round-trip
 ///                                instances exactly (auto-detected)
 ///   workgraph-incremental        WorkGraph vs rebuild-from-scratch
-///   sparse-tiled-parity          tiled bit-row sweeps vs stamped walks on
+///   sparse-tiled-parity          tiled bit-row sweeps vs merge-walks on
 ///                                sparse cached Briggs/George tests
 ///   workgraph-rollback           checkpoint/rollback restores the partition
 ///

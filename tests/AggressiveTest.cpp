@@ -1,6 +1,7 @@
 //===- tests/AggressiveTest.cpp - aggressive coalescing + Theorem 2 --------===//
 
 #include "coalescing/Aggressive.h"
+#include "coalescing/ExactSearch.h"
 #include "graph/Generators.h"
 #include "npc/MultiwayCut.h"
 #include "npc/Theorem2Reduction.h"
@@ -36,7 +37,7 @@ TEST(AggressiveTest, TransitiveConflict) {
   AggressiveResult Greedy = aggressiveCoalesceGreedy(P);
   // Greedy prefers the heavier (0,1).
   EXPECT_EQ(Greedy.Stats.CoalescedWeight, 3.0);
-  AggressiveResult Exact = aggressiveCoalesceExact(P);
+  ExactSearchResult Exact = exactCoalesceSearch(P, {ExactFeasibility::Any});
   EXPECT_TRUE(Exact.Optimal);
   EXPECT_EQ(Exact.Stats.CoalescedWeight, 3.0);
 }
@@ -56,7 +57,7 @@ TEST(AggressiveTest, GreedyCanBeSuboptimal) {
   P.Affinities = {{0, 1, 3.0}, {1, 3, 2.0}, {1, 4, 2.0}};
   AggressiveResult Greedy = aggressiveCoalesceGreedy(P);
   EXPECT_DOUBLE_EQ(Greedy.Stats.CoalescedWeight, 3.0);
-  AggressiveResult Exact = aggressiveCoalesceExact(P);
+  ExactSearchResult Exact = exactCoalesceSearch(P, {ExactFeasibility::Any});
   EXPECT_TRUE(Exact.Optimal);
   EXPECT_DOUBLE_EQ(Exact.Stats.CoalescedWeight, 4.0);
 }
@@ -73,7 +74,7 @@ TEST(AggressiveTest, ExactMatchesGreedyOnConflictFree) {
         P.Affinities.push_back({U, V, 1.0});
     }
     // No interference at all: everything is coalescable.
-    AggressiveResult Exact = aggressiveCoalesceExact(P);
+    ExactSearchResult Exact = exactCoalesceSearch(P, {ExactFeasibility::Any});
     EXPECT_TRUE(Exact.Optimal);
     EXPECT_EQ(Exact.Stats.UncoalescedAffinities, 0u);
   }
@@ -93,7 +94,7 @@ TEST(AggressiveTest, SolutionsAlwaysValid) {
     }
     AggressiveResult Greedy = aggressiveCoalesceGreedy(P);
     EXPECT_TRUE(isValidCoalescing(P.G, Greedy.Solution));
-    AggressiveResult Exact = aggressiveCoalesceExact(P);
+    ExactSearchResult Exact = exactCoalesceSearch(P, {ExactFeasibility::Any});
     EXPECT_TRUE(isValidCoalescing(P.G, Exact.Solution));
     EXPECT_GE(Exact.Stats.CoalescedWeight + 1e-9,
               Greedy.Stats.CoalescedWeight);
@@ -119,7 +120,8 @@ TEST(Theorem2Test, PaperTriangleExample) {
   EXPECT_EQ(Cut.CutSize, 3u); // Must cut the 3-cycle of terminal paths.
 
   Theorem2Reduction R = Theorem2Reduction::build(Instance);
-  AggressiveResult Exact = aggressiveCoalesceExact(R.Problem);
+  ExactSearchResult Exact =
+      exactCoalesceSearch(R.Problem, {ExactFeasibility::Any});
   ASSERT_TRUE(Exact.Optimal);
   EXPECT_EQ(Exact.Stats.UncoalescedAffinities, Cut.CutSize);
 }
@@ -145,7 +147,8 @@ TEST_P(Theorem2Sweep, ReductionPreservesOptimum) {
   MultiwayCutInstance Instance = randomMultiwayCutInstance(6, 0.45, 3, Rand);
   MultiwayCutResult Cut = solveMultiwayCutExact(Instance);
   Theorem2Reduction R = Theorem2Reduction::build(Instance);
-  AggressiveResult Exact = aggressiveCoalesceExact(R.Problem);
+  ExactSearchResult Exact =
+      exactCoalesceSearch(R.Problem, {ExactFeasibility::Any});
   ASSERT_TRUE(Exact.Optimal);
   EXPECT_EQ(Exact.Stats.UncoalescedAffinities, Cut.CutSize)
       << "Theorem 2 equivalence violated";

@@ -9,6 +9,7 @@
 
 #include "challenge/ChallengeInstance.h"
 #include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "runner/BatchRunner.h"
 #include "runner/SweepManifest.h"
 #include "support/CancelToken.h"
@@ -164,9 +165,8 @@ TEST(BatchRunnerTest, CancelledTokenStopsDriversSoundly) {
                                  /*RequireGreedy=*/true, &Error))
       << Error;
 
-  ExactConservativeResult Exact =
-      conservativeCoalesceExact(P, /*RequireGreedy=*/true,
-                                /*NodeLimit=*/UINT64_MAX, &Cancelled);
+  ExactSearchResult Exact = exactCoalesceSearch(
+      P, {ExactFeasibility::Greedy}, /*Telemetry=*/nullptr, &Cancelled);
   EXPECT_TRUE(Exact.TimedOut);
   EXPECT_FALSE(Exact.Optimal);
   EXPECT_TRUE(checkSolutionSound(P, Exact.Solution, /*RequireGreedy=*/true,

@@ -2,6 +2,7 @@
 
 #include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "graph/Chordal.h"
 #include "graph/Generators.h"
 #include "graph/GreedyColorability.h"
@@ -107,8 +108,8 @@ TEST(ChordalStrategyTest, FirstAffinityDecisionIsOptimal) {
     if (P.Affinities.empty())
       continue;
     ChordalStrategyResult R = chordalCoalesce(P);
-    ExactConservativeResult Exact =
-        conservativeCoalesceExact(P, /*RequireGreedy=*/false);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(P, {ExactFeasibility::ExactColor});
     ASSERT_TRUE(Exact.Optimal);
     EXPECT_EQ(R.Stats.CoalescedAffinities,
               Exact.Stats.CoalescedAffinities);

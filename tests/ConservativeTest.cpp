@@ -1,10 +1,12 @@
 //===- tests/ConservativeTest.cpp - conservative rules + Theorem 3 ---------===//
 
 #include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "graph/ExactColoring.h"
 #include "graph/Generators.h"
 #include "graph/GreedyColorability.h"
 #include "npc/Theorem3Reduction.h"
+#include "testing/LegacyConservative.h"
 
 #include <gtest/gtest.h>
 
@@ -346,7 +348,7 @@ TEST(ConservativeDriverTest, WorklistReactivatesBriggsRejectedAffinity) {
   // the watched common neighbor, not by a blanket re-scan.
   EXPECT_GE(T.WorklistReactivations, 1u);
   ConservativeResult Legacy =
-      conservativeCoalesceLegacy(P, ConservativeRule::Briggs);
+      rc::testing::conservativeCoalesceLegacy(P, ConservativeRule::Briggs);
   EXPECT_EQ(R.Solution.ClassIds, Legacy.Solution.ClassIds);
 }
 
@@ -366,7 +368,8 @@ TEST(ConservativeDriverTest, MatchesLegacyDriverOnRandomInstances) {
          {ConservativeRule::Briggs, ConservativeRule::George,
           ConservativeRule::BriggsOrGeorge, ConservativeRule::BruteForce}) {
       ConservativeResult New = conservativeCoalesce(P, Rule);
-      ConservativeResult Legacy = conservativeCoalesceLegacy(P, Rule);
+      ConservativeResult Legacy =
+          rc::testing::conservativeCoalesceLegacy(P, Rule);
       EXPECT_EQ(New.Solution.ClassIds, Legacy.Solution.ClassIds)
           << "driver divergence: trial " << Trial << " rule "
           << static_cast<int>(Rule);
@@ -422,8 +425,8 @@ TEST_P(Theorem3Sweep, ZeroCostCoalescingIffKColorable) {
   Graph H = randomGraph(6, 0.5, Rand);
   unsigned K = 3;
   Theorem3Reduction R = Theorem3Reduction::build(H, K);
-  ExactConservativeResult Exact =
-      conservativeCoalesceExact(R.Problem, /*RequireGreedy=*/false);
+  ExactSearchResult Exact =
+      exactCoalesceSearch(R.Problem, {ExactFeasibility::ExactColor});
   bool AllCoalesced =
       Exact.Optimal && Exact.Stats.UncoalescedAffinities == 0;
   EXPECT_EQ(AllCoalesced, exactKColoring(H, K).Colorable)

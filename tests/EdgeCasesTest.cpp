@@ -10,6 +10,7 @@
 #include "coalescing/ChordalIncremental.h"
 #include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "coalescing/IteratedRegisterCoalescing.h"
 #include "coalescing/NodeMerging.h"
 #include "coalescing/Optimistic.h"
@@ -36,14 +37,14 @@ CoalescingProblem emptyProblem(unsigned K) {
 TEST(EdgeCasesTest, EmptyProblemAllStrategies) {
   CoalescingProblem P = emptyProblem(2);
   EXPECT_EQ(aggressiveCoalesceGreedy(P).Stats.CoalescedAffinities, 0u);
-  EXPECT_TRUE(aggressiveCoalesceExact(P).Optimal);
+  EXPECT_TRUE(exactCoalesceSearch(P, {ExactFeasibility::Any}).Optimal);
   for (ConservativeRule Rule :
        {ConservativeRule::Briggs, ConservativeRule::George,
         ConservativeRule::BriggsOrGeorge, ConservativeRule::BruteForce})
     EXPECT_EQ(conservativeCoalesce(P, Rule).Solution.NumClasses, 0u);
   EXPECT_TRUE(optimisticCoalesce(P).GreedyKColorable);
   EXPECT_TRUE(iteratedRegisterCoalescing(P).Spilled.empty());
-  EXPECT_TRUE(conservativeCoalesceExact(P, true).Optimal);
+  EXPECT_TRUE(exactCoalesceSearch(P, {ExactFeasibility::Greedy}).Optimal);
   EXPECT_EQ(chordalCoalesce(P).Stats.CoalescedAffinities, 0u);
   EXPECT_TRUE(biasedColoring(P).Colors.empty());
 }

@@ -1,13 +1,13 @@
 //===- tests/ExactBaselineTest.cpp - Exact optimal baselines ----------------===//
 //
-// Differential tests locking the exact baselines to each other and to an
-// independent brute-force enumerator, plus the cancellation / determinism
-// contracts the gap dashboard (runner/GapReport, tools/rc_gap) relies on.
+// Differential tests locking the exact branch and bound to the independent
+// brute-force enumerator (testing::bruteForceOptima) in all three
+// feasibility regimes, plus the cancellation / determinism contracts the gap
+// dashboard (runner/GapReport, tools/rc_gap) relies on.
 
 #include "challenge/ChallengeInstance.h"
 #include "challenge/StrategyRegistry.h"
 #include "coalescing/ChordalIncremental.h"
-#include "coalescing/Conservative.h"
 #include "coalescing/ExactChordalDP.h"
 #include "coalescing/ExactSearch.h"
 #include "graph/Chordal.h"
@@ -16,7 +16,6 @@
 #include "graph/GreedyColorability.h"
 #include "runner/GapReport.h"
 #include "support/CancelToken.h"
-#include "support/UnionFind.h"
 #include "testing/Oracles.h"
 
 #include <gtest/gtest.h>
@@ -29,43 +28,6 @@ using namespace rc::testing;
 namespace {
 
 constexpr double Eps = 1e-9;
-
-/// The three optima of one instance, by brute-force subset enumeration.
-struct BruteOptima {
-  double Greedy = 0;
-  double KColor = 0;
-  double Any = 0;
-};
-
-/// Independent third implementation of the exact baselines: enumerate every
-/// affinity subset, build the induced partition, and keep the best weight
-/// whose quotient satisfies each regime's feasibility test. Exponential in
-/// the number of affinities; callers keep instances tiny.
-BruteOptima bruteForceOptima(const CoalescingProblem &P) {
-  const unsigned N = P.G.numVertices();
-  const size_t NumAff = P.Affinities.size();
-  EXPECT_LE(NumAff, 14u) << "brute force capped at 2^14 subsets";
-  BruteOptima Best;
-  for (uint64_t Mask = 0; Mask < (uint64_t(1) << NumAff); ++Mask) {
-    UnionFind Classes(N);
-    for (size_t A = 0; A < NumAff; ++A)
-      if (Mask & (uint64_t(1) << A))
-        Classes.merge(P.Affinities[A].U, P.Affinities[A].V);
-    CoalescingSolution S;
-    S.ClassIds = Classes.denseClassIds();
-    S.NumClasses = Classes.numClasses();
-    if (!isValidCoalescing(P.G, S))
-      continue;
-    double Weight = evaluateSolution(P, S).CoalescedWeight;
-    Best.Any = std::max(Best.Any, Weight);
-    Graph Q = buildCoalescedGraph(P.G, S);
-    if (exactKColoring(Q, P.K).Colorable)
-      Best.KColor = std::max(Best.KColor, Weight);
-    if (isGreedyKColorable(Q, P.K))
-      Best.Greedy = std::max(Best.Greedy, Weight);
-  }
-  return Best;
-}
 
 /// A small random instance with K at least the coloring number, so the
 /// greedy regime always has the identity as a feasible point.
@@ -115,23 +77,11 @@ TEST(ExactBaselineTest, SolversMatchBruteForceEnumeration) {
   Rng Rand(4201);
   for (int Trial = 0; Trial < 24; ++Trial) {
     CoalescingProblem P = smallInstance(Rand, Trial % 2 == 0);
-    BruteOptima Brute = bruteForceOptima(P);
+    ASSERT_LE(P.Affinities.size(), BruteForceAffinityLimit);
+    BruteForceOptima Brute = bruteForceOptima(P);
     ASSERT_LE(Brute.Greedy, Brute.KColor + Eps);
     ASSERT_LE(Brute.KColor, Brute.Any + Eps);
 
-    // The recursive reference solver, both regimes.
-    ExactConservativeResult RefGreedy =
-        conservativeCoalesceExact(P, /*RequireGreedy=*/true);
-    ASSERT_TRUE(RefGreedy.Optimal);
-    EXPECT_NEAR(RefGreedy.Stats.CoalescedWeight, Brute.Greedy, Eps)
-        << "trial " << Trial;
-    ExactConservativeResult RefColor =
-        conservativeCoalesceExact(P, /*RequireGreedy=*/false);
-    ASSERT_TRUE(RefColor.Optimal);
-    EXPECT_NEAR(RefColor.Stats.CoalescedWeight, Brute.KColor, Eps)
-        << "trial " << Trial;
-
-    // The undo-stack branch-and-bound, all three regimes.
     ExactSearchResult BBGreedy = searchWith(P, ExactFeasibility::Greedy);
     ASSERT_TRUE(BBGreedy.Optimal);
     EXPECT_FALSE(BBGreedy.TimedOut);

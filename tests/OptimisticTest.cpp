@@ -1,6 +1,7 @@
 //===- tests/OptimisticTest.cpp - optimistic coalescing ---------------------===//
 
 #include "coalescing/Conservative.h"
+#include "coalescing/ExactSearch.h"
 #include "coalescing/Optimistic.h"
 #include "graph/Generators.h"
 #include "graph/GreedyColorability.h"
@@ -71,7 +72,8 @@ TEST(OptimisticTest, ExactDeCoalescingIsUpperBound) {
   for (int Trial = 0; Trial < 8; ++Trial) {
     CoalescingProblem P = randomInstance(Rand, 10, 7);
     OptimisticResult Heuristic = optimisticCoalesce(P);
-    ExactConservativeResult Exact = optimisticDeCoalesceExact(P);
+    ExactSearchResult Exact =
+        exactCoalesceSearch(P, {ExactFeasibility::Greedy});
     ASSERT_TRUE(Exact.Optimal);
     EXPECT_GE(Exact.Stats.CoalescedWeight + 1e-9,
               Heuristic.Stats.CoalescedWeight);

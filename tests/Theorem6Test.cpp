@@ -1,5 +1,6 @@
 //===- tests/Theorem6Test.cpp - vertex cover -> optimistic ------------------===//
 
+#include "coalescing/ExactSearch.h"
 #include "coalescing/Optimistic.h"
 #include "graph/GreedyColorability.h"
 #include "npc/Theorem6Reduction.h"
@@ -99,7 +100,8 @@ TEST_P(Theorem6OptimumSweep, MinimumDeCoalescingEqualsMinimumCover) {
   Graph G = randomBoundedDegreeGraph(5, 3, 0.55, Rand);
   Theorem6Reduction R = Theorem6Reduction::build(G);
   VertexCoverResult Cover = solveVertexCoverExact(G);
-  ExactConservativeResult Exact = optimisticDeCoalesceExact(R.Problem);
+  ExactSearchResult Exact =
+      exactCoalesceSearch(R.Problem, {ExactFeasibility::Greedy});
   ASSERT_TRUE(Exact.Optimal);
   EXPECT_EQ(Exact.Stats.UncoalescedAffinities, Cover.Size)
       << "Theorem 6 equivalence violated";
@@ -124,7 +126,8 @@ TEST_P(Theorem6WeightedSweep, WeightedOptimumMatchesWeightedCover) {
   }
   WeightedVertexCoverResult Cover =
       solveWeightedVertexCoverExact(G, Weights);
-  ExactConservativeResult Exact = optimisticDeCoalesceExact(R.Problem);
+  ExactSearchResult Exact =
+      exactCoalesceSearch(R.Problem, {ExactFeasibility::Greedy});
   ASSERT_TRUE(Exact.Optimal);
   EXPECT_DOUBLE_EQ(Exact.Stats.UncoalescedWeight, Cover.Weight)
       << "weighted Theorem 6 equivalence violated";
