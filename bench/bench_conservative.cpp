@@ -51,8 +51,11 @@ BENCHMARK(BM_ConservativeLegacy<ConservativeRule::Briggs>)->Range(64, 2048);
 BENCHMARK(BM_ConservativeRule<ConservativeRule::George>)->Range(64, 2048);
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BriggsOrGeorge>)
     ->Range(64, 2048);
+// 8192 is past WorkGraph::DefaultDenseThreshold, so the last row times the
+// sparse engine's brute-force probes.
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BruteForce>)
-    ->Range(64, 2048);
+    ->Range(64, 2048)
+    ->Arg(8192);
 
 static void BM_Theorem3ExactSearch(benchmark::State &State) {
   // Exponential: optimal conservative coalescing on the k-colorability

@@ -158,11 +158,16 @@ bool rc::georgeTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
 }
 
 bool rc::bruteForceTest(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
-                        std::vector<unsigned> *StuckReps) {
+                        std::vector<unsigned> *StuckReps,
+                        bool PreMergeGreedy) {
   WG.note(EngineEvent::BruteForceTestRun, U, V);
   WG.checkpoint();
-  WG.merge(U, V);
-  bool Passed = WG.quotientGreedyKColorable(K, StuckReps);
+  unsigned C = WG.merge(U, V);
+  // From a greedy-k-colorable quotient the only k-core one merge can
+  // create is the merged class's component, so the check stays local.
+  bool Passed = PreMergeGreedy
+                    ? WG.mergedQuotientGreedyKColorable(C, K, StuckReps)
+                    : WG.quotientGreedyKColorable(K, StuckReps);
   WG.rollback();
   if (Passed)
     WG.note(EngineEvent::BruteForceTestPassed, U, V);
@@ -255,7 +260,9 @@ private:
 /// colorability check is guaranteed to succeed and the accept/reject
 /// decision is unchanged. A probe that does run and passes establishes the
 /// invariant (it literally verified the post-merge quotient), so the flag
-/// needs no up-front whole-graph check.
+/// needs no up-front whole-graph check. While the flag holds, probes that
+/// do run check only the merged class's neighbourhood; until then they
+/// re-peel the whole quotient.
 static bool ruleAllows(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
                        ConservativeRule Rule,
                        std::vector<unsigned> &StuckReps, TouchObserver &Probe,
@@ -277,7 +284,7 @@ static bool ruleAllows(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
       return true;
     }
     Probe.Suppressed = true;
-    bool Passed = bruteForceTest(WG, U, V, K, &StuckReps);
+    bool Passed = bruteForceTest(WG, U, V, K, &StuckReps, QuotientGreedy);
     Probe.Suppressed = false;
     if (Passed)
       QuotientGreedy = true;

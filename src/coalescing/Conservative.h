@@ -13,8 +13,11 @@
 ///
 ///  - Briggs: the merged node has fewer than k neighbors of degree >= k.
 ///  - George: every neighbor of u of degree >= k is a neighbor of v.
-///  - Brute force: merge, then check greedy-k-colorability in linear time
-///    (the "simply use brute force" test suggested in Section 4).
+///  - Brute force: merge, then check greedy-k-colorability (the "simply
+///    use brute force" test suggested in Section 4). From a
+///    greedy-k-colorable quotient the check stays in the merged class's
+///    neighbourhood; otherwise it re-peels the whole quotient in linear
+///    time.
 ///
 /// Each test preserves greedy-k-colorability, so running the driver on a
 /// greedy-k-colorable graph keeps it greedy-k-colorable (asserted).
@@ -50,7 +53,7 @@ enum class ConservativeRule {
   /// Briggs or George (either passing suffices), as advocated by the paper
   /// for the spilling-free setting.
   BriggsOrGeorge,
-  /// Merge on a scratch copy and re-check greedy-k-colorability.
+  /// Merge speculatively and re-check greedy-k-colorability.
   BruteForce,
 };
 
@@ -74,14 +77,22 @@ bool georgeTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
                 std::vector<unsigned> *Blockers = nullptr);
 
 /// Returns true if the quotient graph remains greedy-k-colorable after
-/// merging the classes of \p U and \p V (linear-time full check). The merge
-/// is probed under a checkpoint and rolled back, so \p WG is unchanged on
-/// return (but must be mutable). \p StuckReps, when non-null, receives
-/// (replacing its contents) the representatives of the classes of the
-/// speculative state's stuck k-core — empty on success; all of them remain
-/// valid representatives after the rollback.
+/// merging the classes of \p U and \p V. The merge is probed under a
+/// checkpoint and rolled back, so \p WG is unchanged on return (but must be
+/// mutable). \p StuckReps, when non-null, receives (replacing its
+/// contents) the representatives of the classes of the speculative state's
+/// stuck k-core — empty on success; all of them remain valid
+/// representatives after the rollback.
+///
+/// \p PreMergeGreedy is the caller's promise that the current quotient is
+/// greedy-k-colorable, and requires the degree cache enabled at \p K.
+/// With it the probe checks only the merged class's k-core neighbourhood
+/// (WorkGraph::mergedQuotientGreedyKColorable); otherwise it re-peels the
+/// whole quotient (WorkGraph::quotientGreedyKColorable). Both give the same
+/// answer and stuck set.
 bool bruteForceTest(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
-                    std::vector<unsigned> *StuckReps = nullptr);
+                    std::vector<unsigned> *StuckReps = nullptr,
+                    bool PreMergeGreedy = false);
 
 /// Result of a conservative coalescing run.
 struct ConservativeResult {

@@ -121,8 +121,9 @@ OptimisticResult rc::optimisticCoalesce(const CoalescingProblem &P,
     // keeps it so. Under that invariant a Briggs pass implies the
     // brute-force check would pass too, so the cached Briggs test (degree
     // cache enabled only now — brute-force probes are the sole rollbacks
-    // after this point) screens out most of the full colorability checks
-    // without changing any accept/reject decision.
+    // after this point) screens out most of the colorability checks
+    // without changing any accept/reject decision, and the probes that
+    // remain check only the merged class's neighbourhood.
     WG.enableDegreeCache(P.K);
     for (unsigned Idx : Order) {
       if (WG.cancelRequested()) {
@@ -138,7 +139,8 @@ OptimisticResult rc::optimisticCoalesce(const CoalescingProblem &P,
       if (WG.interfere(A.U, A.V))
         continue;
       if (!briggsTest(WG, A.U, A.V, P.K) &&
-          !bruteForceTest(WG, A.U, A.V, P.K))
+          !bruteForceTest(WG, A.U, A.V, P.K, nullptr,
+                          /*PreMergeGreedy=*/true))
         continue;
       WG.merge(A.U, A.V);
       Kept[Idx] = true;

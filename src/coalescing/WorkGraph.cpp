@@ -810,3 +810,116 @@ bool WorkGraph::quotientGreedyKColorable(
   }
   return Eliminated == NumClasses;
 }
+
+bool WorkGraph::mergedQuotientGreedyKColorable(
+    unsigned C, unsigned K, std::vector<unsigned> *StuckReps) const {
+  assert(CacheK == K && "the local check reads the degree cache at K");
+  assert(Rep[C] == C && "the merged class must be a representative");
+  if (Cancel)
+    Cancel->poll();
+  note(EngineEvent::ColorabilityCheck);
+  ScopedMicros Timer(Telemetry ? &Telemetry->ColorabilityMicros : nullptr);
+  if (StuckReps)
+    StuckReps->clear();
+
+  // A k-core class has degree >= K (the significance mask) and at least K
+  // significant neighbors; anything else falls in the first two rounds of
+  // any elimination. If C itself falls there the k-core, which would
+  // contain C, is empty.
+  auto Bit = [](unsigned X) { return uint64_t(1) << (X & 63); };
+  if (!(SigWords[C >> 6] & Bit(C)) || significantNeighbors(C) < K)
+    return true;
+
+  // The scratch masks hold only bits of the classes the previous call
+  // touched, so zeroing those classes' words clears them exactly.
+  const size_t Words = SigWords.size();
+  if (LocalSeen.size() != Words) {
+    LocalSeen.assign(Words, 0);
+    LocalIn.assign(Words, 0);
+    LocalDeg.assign(numOriginalVertices(), 0);
+    LocalTouched.clear();
+  }
+  for (unsigned X : LocalTouched)
+    LocalSeen[X >> 6] = LocalIn[X >> 6] = 0;
+  LocalTouched.clear();
+  LocalComp.clear();
+  auto classify = [&](unsigned W, bool Candidate) {
+    LocalSeen[W >> 6] |= Bit(W);
+    LocalTouched.push_back(W);
+    if (Candidate) {
+      LocalIn[W >> 6] |= Bit(W);
+      LocalComp.push_back(W);
+    }
+  };
+  classify(C, true);
+
+  // Breadth-first over the candidates reachable from C, classifying each
+  // significant neighbor once and recording every component class's
+  // in-component degree (a candidate neighbor of a component class is in
+  // the component). C's own count is the third screening round: fewer
+  // than K candidate neighbors and C peels, so the merge passes.
+  for (size_t I = 0; I < LocalComp.size(); ++I) {
+    unsigned X = LocalComp[I];
+    unsigned InDeg = 0;
+    if (Dense) {
+      // Word-parallel over the matrix row: only unclassified neighbors are
+      // visited one by one.
+      const uint64_t *R = ClassEdges.row(X);
+      for (size_t W = 0; W < Words; ++W) {
+        uint64_t Sig = R[W] & SigWords[W];
+        for (uint64_t B = Sig & ~LocalSeen[W]; B; B &= B - 1) {
+          unsigned Y = static_cast<unsigned>(W * 64 + std::countr_zero(B));
+          classify(Y, significantNeighbors(Y) >= K);
+        }
+        InDeg += static_cast<unsigned>(std::popcount(Sig & LocalIn[W]));
+      }
+    } else {
+      // Branch-light: most neighbors are classified already, and the
+      // in-component count needs no significance test (LocalIn is a
+      // subset of the significant classes).
+      for (unsigned Y : ClassArena.row(X)) {
+        if (SigWords[Y >> 6] & ~LocalSeen[Y >> 6] & Bit(Y))
+          classify(Y, significantNeighbors(Y) >= K);
+        InDeg += static_cast<unsigned>((LocalIn[Y >> 6] >> (Y & 63)) & 1);
+      }
+    }
+    LocalDeg[X] = InDeg;
+    if (I == 0 && InDeg < K)
+      return true;
+  }
+
+  // The k-core lies inside the component, so peeling the component alone
+  // finds it exactly. Once C peels, the k-core is empty.
+  LocalQueue.clear();
+  for (unsigned X : LocalComp)
+    if (LocalDeg[X] < K)
+      LocalQueue.push_back(X);
+  auto dropNeighbor = [&](unsigned W) {
+    if (LocalDeg[W]-- == K)
+      LocalQueue.push_back(W);
+  };
+  while (!LocalQueue.empty()) {
+    unsigned X = LocalQueue.back();
+    LocalQueue.pop_back();
+    if (X == C)
+      return true;
+    LocalIn[X >> 6] &= ~Bit(X);
+    if (Dense) {
+      const uint64_t *R = ClassEdges.row(X);
+      for (size_t W = 0; W < Words; ++W)
+        for (uint64_t B = R[W] & LocalIn[W]; B; B &= B - 1)
+          dropNeighbor(static_cast<unsigned>(W * 64 + std::countr_zero(B)));
+    } else {
+      for (unsigned Y : ClassArena.row(X))
+        if (LocalIn[Y >> 6] & Bit(Y))
+          dropNeighbor(Y);
+    }
+  }
+  if (StuckReps) {
+    for (unsigned X : LocalComp)
+      if (LocalIn[X >> 6] & Bit(X))
+        StuckReps->push_back(X);
+    std::sort(StuckReps->begin(), StuckReps->end());
+  }
+  return false;
+}

@@ -34,6 +34,10 @@
 ///    each class, plus dense bit masks of the significant and exactly-k
 ///    classes. The Briggs and George safety tests read these instead of
 ///    re-walking and re-probing neighbor sets.
+///  - Greedy-k-colorability checks. quotientGreedyKColorable peels the
+///    whole quotient; mergedQuotientGreedyKColorable decides a speculative
+///    merge from the merged class's k-core neighbourhood when the quotient
+///    before it is known to be greedy-k-colorable.
 ///  - Instrumentation. An optional CoalescingTelemetry sink counts engine
 ///    events (merges, rollbacks, interference queries, colorability
 ///    checks); an optional EngineObserver sees the raw event stream and,
@@ -393,6 +397,26 @@ public:
                                 std::vector<unsigned> *StuckReps =
                                     nullptr) const;
 
+  /// The local form of quotientGreedyKColorable for a state one merge past
+  /// a greedy-k-colorable quotient: \p C is the merged class (a
+  /// representative). Precondition: the quotient before the merge that
+  /// produced \p C was greedy-k-colorable. The merge changes no edge
+  /// between other classes, so every component of the post-merge k-core
+  /// that avoids \p C was already a k-core before it; the k-core is
+  /// therefore empty or connected and containing \p C. A k-core class has
+  /// degree >= K and >= K significant neighbors, so the check
+  ///  1. passes when fewer than K neighbors of \p C clear both bars (one
+  ///     sweep of \p C's row against the cached degree state), and
+  ///     otherwise
+  ///  2. peels only the component of \p C among classes clearing both
+  ///     bars.
+  /// Returns the same decision and the same sorted \p StuckReps as the
+  /// whole-quotient check, and counts and times as one colorability
+  /// check. Requires the degree cache enabled at \p K.
+  bool mergedQuotientGreedyKColorable(unsigned C, unsigned K,
+                                      std::vector<unsigned> *StuckReps =
+                                          nullptr) const;
+
   // --- Cancellation ------------------------------------------------------
 
   /// Attaches (or detaches, with null) a cooperative cancellation token.
@@ -527,6 +551,19 @@ private:
   /// the merge-walk so they can follow \p CU's in legacy walk order
   /// without a per-call allocation.
   mutable std::vector<unsigned> ScratchList;
+  /// mergedQuotientGreedyKColorable scratch, sized once per engine.
+  /// LocalSeen and LocalIn are class bit masks: classified, and in the
+  /// candidate component (cleared again as the peel removes a class).
+  /// LocalTouched lists the classes whose bits a call set, so the next
+  /// call clears just their words. LocalDeg holds a component class's
+  /// remaining in-component degree; LocalComp lists the component and
+  /// LocalQueue is the peel work list.
+  mutable std::vector<uint64_t> LocalSeen;
+  mutable std::vector<uint64_t> LocalIn;
+  mutable std::vector<unsigned> LocalTouched;
+  mutable std::vector<unsigned> LocalDeg;
+  mutable std::vector<unsigned> LocalComp;
+  mutable std::vector<unsigned> LocalQueue;
   /// Sparse cached tests: per-class tiled bit rows (512-bit tiles keyed by
   /// tile index in a pooled arena beside the CSR rows), built lazily for
   /// big tile-dense classes (see tileRowReady) and then maintained through

@@ -34,7 +34,7 @@ ir::lowerOutOfSsaWithCoalescing(Function &F, OutOfSsaCoalescing Mode) {
   unsigned OriginalValues = F.numValues();
   std::vector<ValueId> ClassValue(Solution.NumClasses);
   for (unsigned C = 0; C < Solution.NumClasses; ++C)
-    ClassValue[C] = F.createValue("c" + std::to_string(C));
+    ClassValue[C] = F.createValue(std::string("c").append(std::to_string(C)));
   auto renamed = [&](ValueId V) {
     assert(V < OriginalValues && "rewriting an already-rewritten value");
     return ClassValue[Solution.ClassIds[V]];

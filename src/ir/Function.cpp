@@ -21,7 +21,7 @@ std::string Function::valueName(ValueId V) const {
   assert(V < NumValues && "value out of range");
   if (!ValueNames[V].empty())
     return ValueNames[V];
-  return "v" + std::to_string(V);
+  return std::string("v").append(std::to_string(V));
 }
 
 void Function::appendInstruction(BlockId B, Instruction I) {

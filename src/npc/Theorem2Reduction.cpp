@@ -33,7 +33,7 @@ Theorem2Reduction::build(const MultiwayCutInstance &Instance) {
 
   R.Problem.Names.resize(R.Problem.G.numVertices());
   for (unsigned U = 0; U < N; ++U)
-    R.Problem.Names[U] = "v" + std::to_string(U);
+    R.Problem.Names[U] = std::string("v").append(std::to_string(U));
   for (unsigned E = 0; E < NumEdges; ++E)
     R.Problem.Names[R.SubdivisionVertex[E]] = "x_e" + std::to_string(E);
   return R;

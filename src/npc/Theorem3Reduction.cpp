@@ -27,7 +27,7 @@ Theorem3Reduction Theorem3Reduction::build(const Graph &H, unsigned K) {
 
   R.Problem.Names.resize(R.Problem.G.numVertices());
   for (unsigned U = 0; U < N; ++U)
-    R.Problem.Names[U] = "v" + std::to_string(U);
+    R.Problem.Names[U] = std::string("v").append(std::to_string(U));
   for (unsigned E = 0; E < NumEdges; ++E) {
     R.Problem.Names[R.EdgeGadgets[E].first] = "x_e" + std::to_string(E);
     R.Problem.Names[R.EdgeGadgets[E].second] = "y_e" + std::to_string(E);

@@ -45,8 +45,10 @@ Theorem6Reduction Theorem6Reduction::build(const Graph &G) {
     const char *Tags[StructureSize] = {"A", "A'", "q1", "q2", "q3", "q4",
                                        "d1", "d2", "d3", "b1", "b2", "b3"};
     for (unsigned I = 0; I < StructureSize; ++I)
-      R.Problem.Names[Base + I] =
-          "s" + std::to_string(V) + "." + Tags[I];
+      R.Problem.Names[Base + I] = std::string("s")
+                                      .append(std::to_string(V))
+                                      .append(".")
+                                      .append(Tags[I]);
   }
 
   // External edges: edge (u, v) of G consumes one branch connector on each

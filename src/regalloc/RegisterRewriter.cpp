@@ -13,7 +13,7 @@ regalloc::rewriteToRegisters(const Function &F, const Coloring &Colors,
   RegisterRewriteResult Result;
   Function &G = Result.Rewritten;
   for (unsigned R = 0; R < K; ++R)
-    G.createValue("r" + std::to_string(R));
+    G.createValue(std::string("r").append(std::to_string(R)));
 
   auto reg = [&Colors, K](ValueId V) {
     assert(Colors[V] >= 0 && static_cast<unsigned>(Colors[V]) < K &&

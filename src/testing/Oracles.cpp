@@ -777,3 +777,66 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
   }
   return true;
 }
+
+bool testing::checkMergeColorabilityParity(const Graph &G, unsigned K,
+                                           unsigned Steps, Rng &Rand,
+                                           std::string *Error) {
+  const unsigned N = G.numVertices();
+  if (N < 2 || K == 0 || !isGreedyKColorable(G, K))
+    return true;
+  WorkGraph Dense(G, /*DenseThreshold=*/N + 1);
+  WorkGraph Sparse(G, /*DenseThreshold=*/0);
+  CoalescingTelemetry TD, TS;
+  Dense.attachTelemetry(&TD);
+  Sparse.attachTelemetry(&TS);
+  Dense.enableDegreeCache(K);
+  Sparse.enableDegreeCache(K);
+
+  std::vector<unsigned> LocalStuck, FullStuck;
+  uint64_t Probes = 0;
+  // Returns the probe's decision, or -1 after reporting a mismatch.
+  auto probe = [&](WorkGraph &WG, const char *Mode, unsigned Step,
+                   unsigned U, unsigned V) -> int {
+    WG.checkpoint();
+    unsigned C = WG.merge(U, V);
+    bool Local = WG.mergedQuotientGreedyKColorable(C, K, &LocalStuck);
+    bool Full = WG.quotientGreedyKColorable(K, &FullStuck);
+    if (Local != Full || LocalStuck != FullStuck) {
+      std::ostringstream OS;
+      OS << "merge-colorability-parity: " << Mode << " step " << Step
+         << ": merge(" << U << "," << V << ") at k=" << K
+         << " local=" << Local << " (" << LocalStuck.size()
+         << " stuck) full=" << Full << " (" << FullStuck.size()
+         << " stuck)";
+      fail(Error, OS.str());
+      return -1;
+    }
+    if (Full)
+      WG.commit();
+    else
+      WG.rollback();
+    return Full;
+  };
+
+  for (unsigned Step = 0; Step < Steps; ++Step) {
+    unsigned U = static_cast<unsigned>(Rand.nextBelow(N));
+    unsigned V = static_cast<unsigned>(Rand.nextBelow(N));
+    if (U == V || !Dense.canMerge(U, V))
+      continue;
+    int D = probe(Dense, "dense", Step, U, V);
+    if (D < 0)
+      return false;
+    int S = probe(Sparse, "sparse", Step, U, V);
+    if (S < 0)
+      return false;
+    if (D != S)
+      return fail(Error, "merge-colorability-parity: dense and sparse "
+                         "engines decided a probe differently");
+    ++Probes;
+  }
+  if (TD.ColorabilityChecks != 2 * Probes ||
+      TS.ColorabilityChecks != 2 * Probes)
+    return fail(Error, "merge-colorability-parity: colorability checks "
+                       "not counted once per call");
+  return true;
+}

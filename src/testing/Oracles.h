@@ -156,6 +156,19 @@ bool checkWorkGraphRollback(const Graph &G, unsigned Steps, Rng &Rand,
 bool checkSparseTiledParity(const Graph &G, unsigned K, unsigned Steps,
                             Rng &Rand, std::string *Error);
 
+/// Oracle 8. On a greedy-k-colorable \p G (trivially true otherwise),
+/// drives a forced-dense and a forced-sparse WorkGraph with degree caches
+/// at \p K through \p Steps random merge probes. Each probe merges under a
+/// checkpoint and checks that the local test
+/// (mergedQuotientGreedyKColorable) and the whole-quotient peel
+/// (quotientGreedyKColorable) agree on pass/fail and on the exact sorted
+/// stuck set; a passing merge is committed, a failing one rolled back, so
+/// the quotient stays greedy-k-colorable — the local test's precondition.
+/// Both engines must decide every probe alike and count one colorability
+/// check per call.
+bool checkMergeColorabilityParity(const Graph &G, unsigned K, unsigned Steps,
+                                  Rng &Rand, std::string *Error);
+
 } // namespace testing
 } // namespace rc
 

@@ -234,6 +234,26 @@ static CoalescingProblem generateTiledParityInstance(Rng &Rand,
   return P;
 }
 
+/// An instance for the merge-colorability parity oracle: chordal or
+/// Erdos-Renyi graphs at tight pressure (usually K = col(G), so the input
+/// is greedy-k-colorable and random merges readily create k-cores). A
+/// quarter of the draws exceed 64 vertices so dense rows span several
+/// words.
+static CoalescingProblem generateMergeParityInstance(Rng &Rand,
+                                                     unsigned MaxSize) {
+  CoalescingProblem P;
+  unsigned N =
+      Rand.flip(0.25)
+          ? 65 + static_cast<unsigned>(Rand.nextBelow(96))
+          : 6 + static_cast<unsigned>(Rand.nextBelow(std::max(8u, MaxSize)));
+  if (Rand.flip(0.5))
+    P.G = randomChordalGraph(N, N, 3, Rand);
+  else
+    P.G = randomGraph(N, 0.05 + 0.35 * Rand.nextDouble(), Rand);
+  P.K = coloringNumber(P.G) + (Rand.flip(0.25) ? 1u : 0u);
+  return P;
+}
+
 /// A tiny instance for the exact gap oracle. Biased toward chordal graphs
 /// (the per-affinity Theorem 5 differential only runs on them) with tight
 /// pressure (K = omega, where the interval chains actually matter) mixed
@@ -336,6 +356,17 @@ static bool checkTiledParityOnInstance(const CoalescingProblem &P,
   unsigned K = P.K ? P.K : 4;
   return checkSparseTiledParity(P.G, K, 3 * P.G.numVertices() / 2 + 16,
                                 OpRand, Error);
+}
+
+/// Merge-colorability parity wrapper; the probe script is derived from
+/// the trial seed so reproducers replay the exact merge sequence.
+static bool checkMergeParityOnInstance(const CoalescingProblem &P,
+                                       uint64_t TrialSeedValue,
+                                       std::string *Error) {
+  Rng OpRand(deriveSeed(TrialSeedValue, "merge-colorability-ops"));
+  unsigned K = P.K ? P.K : coloringNumber(P.G);
+  return checkMergeColorabilityParity(P.G, K, 2 * P.G.numVertices() + 8,
+                                      OpRand, Error);
 }
 
 static bool checkSoundnessOnInstance(const CoalescingProblem &P, uint64_t,
@@ -572,6 +603,18 @@ const std::vector<Property> &testing::allProperties() {
                                   checkRollbackOnInstance, Config, Trial);
          },
          checkRollbackOnInstance});
+
+    Props.push_back(
+        {"merge-colorability-parity",
+         "the local post-merge greedy-k check matches the whole-quotient "
+         "peel (decision and stuck set) in dense and sparse mode",
+         [](Rng &Rand, const FuzzConfig &Config, uint64_t Trial) {
+           CoalescingProblem P = generateMergeParityInstance(Rand,
+                                                             Config.MaxSize);
+           return runProblemTrial("merge-colorability-parity", P,
+                                  checkMergeParityOnInstance, Config, Trial);
+         },
+         checkMergeParityOnInstance});
 
     return Props;
   }();

@@ -30,6 +30,8 @@
 ///   sparse-tiled-parity          tiled bit-row sweeps vs merge-walks on
 ///                                sparse cached Briggs/George tests
 ///   workgraph-rollback           checkpoint/rollback restores the partition
+///   merge-colorability-parity    local post-merge greedy-k check vs the
+///                                whole-quotient peel
 ///
 //===----------------------------------------------------------------------===//
 

@@ -95,8 +95,11 @@ TEST(BatchRunnerTest, JsonlIdenticalAcrossWorkerCounts) {
 // (b) A tiny deadline on the brute-force conservative strategy: the job
 // comes back TimedOut with a flagged partial outcome, and the engine is
 // not corrupted -- the rollback oracle still passes on the same graph.
+// The instance must take well over the 1 ms deadline to solve: 2048
+// values run for tens of milliseconds, while the local brute-force probes
+// can finish 512 inside the deadline.
 TEST(BatchRunnerTest, DeadlineYieldsFlaggedPartialOutcome) {
-  CoalescingProblem P = makeInstance(512, 6, /*Slack=*/2);
+  CoalescingProblem P = makeInstance(2048, 6, /*Slack=*/2);
   RunRequest Request;
   Request.Problem = &P;
   Request.Spec = "brute-conservative";

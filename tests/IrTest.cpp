@@ -49,7 +49,7 @@ TEST(FunctionTest, BlockAndValueCreation) {
   ValueId V = F.emitConst(0, 42, "answer");
   EXPECT_EQ(F.valueName(V), "answer");
   ValueId W = F.emitCopy(0, V);
-  EXPECT_EQ(F.valueName(W), "v" + std::to_string(W));
+  EXPECT_EQ(F.valueName(W), std::string("v").append(std::to_string(W)));
 }
 
 TEST(FunctionTest, ReversePostOrderVisitsReachable) {

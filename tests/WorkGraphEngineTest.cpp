@@ -1,8 +1,8 @@
 //===- tests/WorkGraphEngineTest.cpp - checkpoint/rollback + hybrid adjacency -===//
 //
 // The unified merge engine: checkpoint/rollback round-trips, dense-vs-sparse
-// representation equivalence, the in-engine colorability check, and the
-// telemetry/observer hooks.
+// representation equivalence, the in-engine colorability checks (whole
+// quotient and local post-merge), and the telemetry/observer hooks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -193,6 +193,95 @@ TEST(WorkGraphColorabilityTest, StuckRepsNameTheKCore) {
   EXPECT_EQ(Stuck, (std::vector<unsigned>{0, 1, 2}));
   EXPECT_TRUE(WG.quotientGreedyKColorable(3, &Stuck));
   EXPECT_TRUE(Stuck.empty());
+}
+
+namespace {
+
+/// Probes merging vertices 0 and 1 of \p G at \p K, in dense and in
+/// forced-sparse mode, through both brute-force paths: the local check
+/// (the caller vouches that the pre-merge quotient is greedy) and the
+/// whole-quotient peel. Both must give \p ExpectPass and \p ExpectStuck,
+/// and each must count one brute-force test and one colorability check.
+void expectLocalProbeMatchesFull(const Graph &G, unsigned K, bool ExpectPass,
+                                 const std::vector<unsigned> &ExpectStuck) {
+  ASSERT_TRUE(isGreedyKColorable(G, K));
+  for (unsigned DenseThreshold : {64u, 0u}) {
+    SCOPED_TRACE(DenseThreshold ? "dense" : "sparse");
+    WorkGraph WG(G, DenseThreshold);
+    WG.enableDegreeCache(K);
+    CoalescingTelemetry Local, Full;
+    std::vector<unsigned> LocalStuck{99}, FullStuck{99};
+    WG.attachTelemetry(&Local);
+    bool LocalPassed = bruteForceTest(WG, 0, 1, K, &LocalStuck,
+                                      /*PreMergeGreedy=*/true);
+    WG.attachTelemetry(&Full);
+    bool FullPassed = bruteForceTest(WG, 0, 1, K, &FullStuck,
+                                     /*PreMergeGreedy=*/false);
+    WG.attachTelemetry(nullptr);
+    EXPECT_EQ(LocalPassed, ExpectPass);
+    EXPECT_EQ(FullPassed, ExpectPass);
+    EXPECT_EQ(LocalStuck, ExpectStuck);
+    EXPECT_EQ(FullStuck, ExpectStuck);
+    EXPECT_EQ(Local.BruteForceTests, 1u);
+    EXPECT_EQ(Full.BruteForceTests, 1u);
+    EXPECT_EQ(Local.BruteForcePassed, Full.BruteForcePassed);
+    EXPECT_EQ(Local.ColorabilityChecks, 1u);
+    EXPECT_EQ(Full.ColorabilityChecks, 1u);
+    EXPECT_FALSE(WG.sameClass(0, 1)) << "the probe must roll back";
+
+    // The engine method itself, on the merged state.
+    WG.checkpoint();
+    unsigned C = WG.merge(0, 1);
+    EXPECT_EQ(WG.mergedQuotientGreedyKColorable(C, K, &LocalStuck),
+              WG.quotientGreedyKColorable(K, &FullStuck));
+    EXPECT_EQ(LocalStuck, FullStuck);
+    WG.rollback();
+  }
+}
+
+} // namespace
+
+TEST(WorkGraphLocalColorabilityTest, ScreenPassesWithoutPeeling) {
+  // Merging 0 and 1 gives the path 4-2-C-3-5 at k=2. C and its neighbors
+  // 2 and 3 all have degree 2, but 2 and 3 have only one significant
+  // neighbor each (C), so C has no k-core candidate neighbor: the
+  // three-round screen decides.
+  Graph G(6);
+  G.addEdge(0, 2);
+  G.addEdge(2, 4);
+  G.addEdge(1, 3);
+  G.addEdge(3, 5);
+  expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/true, {});
+}
+
+TEST(WorkGraphLocalColorabilityTest, OnlyTheLocalPeelPasses) {
+  // Merging 0 and 1 gives the path 6-4-2-C-3-5-7 at k=2. 2 and 3 each have
+  // two significant neighbors, so C keeps k candidate neighbors and the
+  // screen cannot decide; peeling the candidate component {2, C, 3}
+  // dissolves it.
+  Graph G(8);
+  G.addEdge(6, 4);
+  G.addEdge(4, 2);
+  G.addEdge(2, 0);
+  G.addEdge(1, 3);
+  G.addEdge(3, 5);
+  G.addEdge(5, 7);
+  expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/true, {});
+}
+
+TEST(WorkGraphLocalColorabilityTest, RejectionNamesTheSameStuckSet) {
+  // Merging 0 and 1 closes the 4-cycle C-5-2-6 at k=2; the pendant 4 and
+  // the separate edge 3-7 peel away. The stuck set is the cycle, named by
+  // its representatives (0 keeps the merged class) in ascending order,
+  // which is not the order the local check reaches them (0, 5, 6, 2).
+  Graph G(8);
+  G.addEdge(0, 5);
+  G.addEdge(5, 2);
+  G.addEdge(2, 6);
+  G.addEdge(6, 1);
+  G.addEdge(2, 4);
+  G.addEdge(3, 7);
+  expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/false, {0, 2, 5, 6});
 }
 
 TEST(WorkGraphTelemetryTest, CountersTrackTheOpScript) {

@@ -9,7 +9,9 @@
 # script on a quiet machine and diff real_time per benchmark; anything
 # beyond noise (~5%) needs an explanation in the PR that regresses it. The
 # Legacy/Rule pair at the same size also gives a machine-independent
-# speedup ratio.
+# speedup ratio. Each benchmark runs three repetitions; the file keeps every
+# repetition plus Google Benchmark's mean/median/stddev/cv aggregates, so
+# compare medians and read the spread from the cv row.
 #
 # "scaling" mode runs the BM_Scale* group of bench_scaling (graph
 # construction and the scalable heuristics at 65536 and 1048576 vertices on
@@ -119,12 +121,14 @@ trap 'rm -rf "$TMP" "$OUT_TMP"' EXIT
 if [ "$MODE" = "conservative" ]; then
   "$BUILD_DIR/bench/bench_conservative" \
     --benchmark_filter='BM_Conservative(Rule|Legacy)' \
+    --benchmark_repetitions=3 \
     --benchmark_format=json \
     --benchmark_out="$TMP/conservative.json" \
     --benchmark_out_format=json
 
   "$BUILD_DIR/bench/bench_irc" \
     --benchmark_filter='BM_IrcThroughput' \
+    --benchmark_repetitions=3 \
     --benchmark_format=json \
     --benchmark_out="$TMP/irc.json" \
     --benchmark_out_format=json
