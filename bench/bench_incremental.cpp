@@ -93,9 +93,13 @@ static void BM_Theorem5AgreementCertificate(benchmark::State &State) {
 }
 BENCHMARK(BM_Theorem5AgreementCertificate)->Iterations(20);
 
+// range(1) picks the chain rule: 0 = ChordalChain::Any (chordal-thm5),
+// 1 = ChordalChain::FewestMerges (exact-chordal-dp).
 static void BM_ChordalStrategyEndToEnd(benchmark::State &State) {
   Rng Rand(53);
   unsigned N = static_cast<unsigned>(State.range(0));
+  ChordalChain Chain =
+      State.range(1) ? ChordalChain::FewestMerges : ChordalChain::Any;
   CoalescingProblem P;
   P.G = randomChordalGraph(N, N / 2, 4, Rand);
   P.K = chordalCliqueNumber(P.G);
@@ -107,11 +111,12 @@ static void BM_ChordalStrategyEndToEnd(benchmark::State &State) {
   }
   unsigned Coalesced = 0;
   for (auto _ : State) {
-    ChordalStrategyResult R = chordalCoalesce(P);
+    ChordalStrategyResult R = chordalCoalesce(P, Chain);
     Coalesced = R.Stats.CoalescedAffinities;
     benchmark::DoNotOptimize(Coalesced);
   }
   State.counters["coalesced"] = Coalesced;
   State.counters["affinities"] = static_cast<double>(P.Affinities.size());
 }
-BENCHMARK(BM_ChordalStrategyEndToEnd)->Range(32, 512);
+BENCHMARK(BM_ChordalStrategyEndToEnd)
+    ->ArgsProduct({benchmark::CreateRange(32, 512, 8), {0, 1}});

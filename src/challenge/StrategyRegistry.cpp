@@ -6,7 +6,6 @@
 #include "coalescing/BiasedColoring.h"
 #include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
-#include "coalescing/ExactChordalDP.h"
 #include "coalescing/ExactSearch.h"
 #include "coalescing/IteratedRegisterCoalescing.h"
 #include "coalescing/Optimistic.h"
@@ -193,6 +192,23 @@ StrategyRegistry::StrategyRegistry() {
       return R.Solution;
     };
   };
+  // Theorem 5 on chordal inputs with k >= omega, brute-conservative on the
+  // rest.
+  auto chordal = [](ChordalChain Chain) {
+    return [Chain](const CoalescingProblem &P, const StrategyOptions &,
+                   StrategyContext &Ctx) {
+      if (isChordal(P.G) && P.K >= chordalCliqueNumber(P.G)) {
+        ChordalStrategyResult R =
+            chordalCoalesce(P, Chain, &Ctx.Telemetry, Ctx.Cancel);
+        Ctx.TimedOut = R.TimedOut;
+        return R.Solution;
+      }
+      ConservativeResult R = conservativeCoalesce(
+          P, ConservativeRule::BruteForce, &Ctx.Telemetry, Ctx.Cancel);
+      Ctx.TimedOut = R.TimedOut;
+      return R.Solution;
+    };
+  };
 
   // Built-ins, in the historical comparison order of allStrategies().
   add({"aggressive", "weight-greedy merging, no register bound (upper bound)",
@@ -240,16 +256,7 @@ StrategyRegistry::StrategyRegistry() {
   add({"chordal-thm5",
        "Theorem 5 chain strategy on chordal inputs with k >= omega "
        "(falls back to brute-conservative otherwise)",
-       [](const CoalescingProblem &P, const StrategyOptions &,
-          StrategyContext &Ctx) {
-         if (isChordal(P.G) && P.K >= chordalCliqueNumber(P.G))
-           return chordalCoalesce(P, &Ctx.Telemetry).Solution;
-         ConservativeResult R = conservativeCoalesce(
-             P, ConservativeRule::BruteForce, &Ctx.Telemetry, Ctx.Cancel);
-         Ctx.TimedOut = R.TimedOut;
-         return R.Solution;
-       },
-       {}});
+       chordal(ChordalChain::Any), {}});
   add({"biased-select",
        "no merging; biased select-phase coloring only (Section 1)",
        [](const CoalescingProblem &P, const StrategyOptions &,
@@ -263,20 +270,7 @@ StrategyRegistry::StrategyRegistry() {
        "Theorem 5 strategy driven by the clique-tree DP (minimal chains) "
        "on chordal inputs with k >= omega (falls back to "
        "brute-conservative otherwise)",
-       [](const CoalescingProblem &P, const StrategyOptions &,
-          StrategyContext &Ctx) {
-         if (isChordal(P.G) && P.K >= chordalCliqueNumber(P.G)) {
-           ChordalDPStrategyResult R =
-               chordalCoalesceDP(P, &Ctx.Telemetry, Ctx.Cancel);
-           Ctx.TimedOut = R.TimedOut;
-           return R.Solution;
-         }
-         ConservativeResult R = conservativeCoalesce(
-             P, ConservativeRule::BruteForce, &Ctx.Telemetry, Ctx.Cancel);
-         Ctx.TimedOut = R.TimedOut;
-         return R.Solution;
-       },
-       {}});
+       chordal(ChordalChain::FewestMerges), {}});
   add({"exact-bb",
        "exact undo-stack branch-and-bound over affinity subsets "
        "(options: feasible=greedy|kcolor|any, nodes=10k|100k|1m|unlimited)",

@@ -9,67 +9,71 @@
 
 using namespace rc;
 
-/// Swaps colors \p A and \p B on every vertex of \p G reachable from
-/// \p Start. Swapping within a union of connected components keeps a
-/// coloring valid.
-static void swapColorsInComponent(const Graph &G, Coloring &C, unsigned Start,
-                                  int A, int B) {
-  std::vector<bool> Seen(G.numVertices(), false);
-  std::vector<unsigned> Stack{Start};
-  Seen[Start] = true;
-  while (!Stack.empty()) {
-    unsigned V = Stack.back();
-    Stack.pop_back();
-    if (C[V] == A)
-      C[V] = B;
-    else if (C[V] == B)
-      C[V] = A;
+Coloring rc::chordalChainWitness(
+    const Graph &G, const std::vector<unsigned> &Chain,
+    const std::vector<const std::vector<unsigned> *> &SlackCliques,
+    unsigned K) {
+  unsigned N = G.numVertices();
+  unsigned NAug = N + static_cast<unsigned>(SlackCliques.size());
+  Graph Aug(NAug);
+  for (unsigned V = 0; V < N; ++V)
     for (unsigned W : G.neighbors(V))
-      if (!Seen[W]) {
-        Seen[W] = true;
-        Stack.push_back(W);
-      }
-  }
+      if (V < W)
+        Aug.addEdge(V, W);
+  for (unsigned S = 0; S < SlackCliques.size(); ++S)
+    for (unsigned W : *SlackCliques[S])
+      Aug.addEdge(N + S, W);
+
+  std::vector<bool> InChain(NAug, false);
+  for (unsigned V : Chain)
+    InChain[V] = true;
+  for (unsigned S = 0; S < SlackCliques.size(); ++S)
+    InChain[N + S] = true;
+  std::vector<unsigned> ClassIds(NAug);
+  unsigned NextId = 1;
+  for (unsigned V = 0; V < NAug; ++V)
+    ClassIds[V] = InChain[V] ? 0 : NextId++;
+  Graph Quotient = Aug.quotient(ClassIds, NextId);
+  Coloring QuotientColors = chordalOptimalColoring(Quotient);
+  assert(numColorsUsed(QuotientColors) <= K &&
+         "merged chain raised the clique number");
+  (void)K;
+
+  Coloring Witness(N);
+  for (unsigned V = 0; V < N; ++V)
+    Witness[V] = QuotientColors[ClassIds[V]];
+  return Witness;
 }
 
 ChordalIncrementalResult
 rc::chordalIncrementalCoalescing(const Graph &G, unsigned X, unsigned Y,
                                  unsigned K) {
+  // Interfering endpoints never share a color, and below omega G is not
+  // even k-colorable. chordalCliqueNumber asserts chordality.
+  if (G.hasEdge(X, Y) || K < chordalCliqueNumber(G))
+    return {};
+  return chordalIncrementalCoalescing(G, CliqueTree::build(G), X, Y, K);
+}
+
+ChordalIncrementalResult
+rc::chordalIncrementalCoalescing(const Graph &G, const CliqueTree &T,
+                                 unsigned X, unsigned Y, unsigned K) {
   assert(X < G.numVertices() && Y < G.numVertices() && X != Y &&
          "bad affinity endpoints");
   ChordalIncrementalResult Result;
   if (G.hasEdge(X, Y))
     return Result; // Interfering endpoints can never share a color.
 
-  unsigned Omega = chordalCliqueNumber(G); // Asserts chordality.
-  if (K < Omega)
-    return Result; // G is not even k-colorable.
-
   // When K > Omega every clique-path position has a free color slot, so the
   // interval chain below always exists (slack at every node) and the answer
   // is always yes; the general algorithm handles both cases uniformly and
   // its chain witness keeps the quotient chordal with unchanged omega,
   // which chordalCoalesce relies on.
-  CliqueTree T = CliqueTree::build(G);
-  const auto &Tx = T.nodesContaining(X);
-  const auto &Ty = T.nodesContaining(Y);
-  std::vector<unsigned> Path = T.pathBetweenSubtrees(Tx, Ty);
-
-  if (Path.empty()) {
-    // Different components: color, then permute colors in y's component so
-    // the two colors agree.
-    Coloring C = chordalOptimalColoring(G);
-    if (C[X] != C[Y])
-      swapColorsInComponent(G, C, Y, C[X], C[Y]);
-    Result.Feasible = true;
-    Result.GapFree = true;
-    Result.Witness = std::move(C);
-    Result.MergedChain = {X, Y};
-    assert(Result.Witness[X] == Result.Witness[Y] &&
-           isValidColoring(G, Result.Witness, static_cast<int>(K)) &&
-           "cross-component witness is invalid");
-    return Result;
-  }
+  std::vector<unsigned> Path =
+      T.pathBetweenSubtrees(T.nodesContaining(X), T.nodesContaining(Y));
+  // CliqueTree::build joins the components of a disconnected G into one
+  // tree through empty separators, and every vertex lies in a clique.
+  assert(!Path.empty() && "clique tree must connect every pair of subtrees");
 
   unsigned Q = static_cast<unsigned>(Path.size());
   assert(Q >= 2 && "adjacent subtrees imply an interference");
@@ -158,49 +162,11 @@ rc::chordalIncrementalCoalescing(const Graph &G, unsigned X, unsigned Y,
   }
   std::reverse(Chain.begin(), Chain.end());
 
-  // Witness: merge the chain and color the quotient optimally. A chain
-  // with slack gaps does not tile the path — merging only its real
-  // vertices can leave their subtree union disconnected and the quotient
-  // non-chordal — so the merge happens on an augmented graph instead: one
-  // artificial vertex per used slack clique, adjacent to exactly that
-  // clique. Each is simplicial (chordality preserved) in a clique below K
-  // (clique number preserved), and with them the chain tiles the path, so
-  // the augmented quotient is chordal and its optimal coloring restricts
-  // to a witness for G.
-  unsigned N = G.numVertices();
-  unsigned NAug = N + static_cast<unsigned>(SlackCliques.size());
-  Graph Aug(NAug);
-  for (unsigned V = 0; V < N; ++V)
-    for (unsigned W : G.neighbors(V))
-      if (V < W)
-        Aug.addEdge(V, W);
-  for (unsigned S = 0; S < SlackCliques.size(); ++S)
-    for (unsigned W : *SlackCliques[S])
-      Aug.addEdge(N + S, W);
-
-  std::vector<bool> InChain(NAug, false);
-  for (unsigned V : Chain)
-    InChain[V] = true;
-  for (unsigned S = 0; S < SlackCliques.size(); ++S)
-    InChain[N + S] = true;
-  std::vector<unsigned> ClassIds(NAug);
-  unsigned NextId = 1;
-  for (unsigned V = 0; V < NAug; ++V)
-    ClassIds[V] = InChain[V] ? 0 : NextId++;
-  Graph Quotient = Aug.quotient(ClassIds, NextId);
-  Coloring QuotientColors = chordalOptimalColoring(Quotient);
-  assert(numColorsUsed(QuotientColors) <= K &&
-         "merged chain raised the clique number");
-
-  Coloring Witness(N);
-  for (unsigned V = 0; V < N; ++V)
-    Witness[V] = QuotientColors[ClassIds[V]];
-  assert(isValidColoring(G, Witness, static_cast<int>(K)) &&
-         Witness[X] == Witness[Y] && "chain witness is invalid");
-
   Result.Feasible = true;
   Result.GapFree = SlackCliques.empty();
-  Result.Witness = std::move(Witness);
+  Result.Witness = chordalChainWitness(G, Chain, SlackCliques, K);
   Result.MergedChain = std::move(Chain);
+  assert(isValidColoring(G, Result.Witness, static_cast<int>(K)) &&
+         Result.Witness[X] == Result.Witness[Y] && "chain witness is invalid");
   return Result;
 }

@@ -4,15 +4,19 @@
 
 #include "coalescing/ChordalIncremental.h"
 #include "graph/Chordal.h"
+#include "graph/CliqueTree.h"
 #include "support/UnionFind.h"
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 using namespace rc;
 
 ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
-                                          CoalescingTelemetry *Telemetry) {
+                                          ChordalChain Chain,
+                                          CoalescingTelemetry *Telemetry,
+                                          const CancelToken *Cancel) {
   auto Count = [Telemetry](EngineEvent E) {
     if (Telemetry)
       Telemetry->count(E);
@@ -24,17 +28,21 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
   unsigned N = P.G.numVertices();
   UnionFind Classes(N);
 
-  // Current quotient graph; CurrentId maps class representative to a vertex
-  // of Current. Rebuilt after each accepted merge.
+  // Current quotient graph, whose vertices are the dense class ids in
+  // DenseIds; its clique tree, built on first use after each commit so
+  // rejected affinities share it; and per class one original vertex and
+  // the class size.
   Graph Current = P.G;
   std::vector<unsigned> DenseIds(N);
   std::iota(DenseIds.begin(), DenseIds.end(), 0u);
+  std::optional<CliqueTree> Tree;
+  std::vector<unsigned> ClassRep = DenseIds, ClassSize(N, 1);
 
-  // Applies the merges of \p Merged (already unioned into \p Tentative)
-  // when the resulting quotient stays chordal — guaranteed for gap-free
-  // chains (asserted), checked for chains that threaded a slack slot.
-  // Returns false (and leaves the state untouched) when the merge would
-  // break the chordality every later exact decision depends on.
+  // Applies the tentative partition when its quotient stays chordal —
+  // guaranteed for gap-free chains (asserted), checked for chains that
+  // threaded a slack slot. Returns false (and leaves the state untouched)
+  // when the merge would break the chordality every later exact decision
+  // depends on.
   auto tryCommit = [&](UnionFind &&Tentative, bool GapFree) {
     std::vector<unsigned> Dense = Tentative.denseClassIds();
     Graph Quotient = P.G.quotient(Dense, Tentative.numClasses());
@@ -47,7 +55,21 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
     Classes = std::move(Tentative);
     DenseIds = std::move(Dense);
     Current = std::move(Quotient);
+    Tree.reset();
+    ClassRep.assign(Classes.numClasses(), ~0u);
+    ClassSize.assign(Classes.numClasses(), 0);
+    for (unsigned V = 0; V < N; ++V)
+      if (ClassSize[DenseIds[V]]++ == 0)
+        ClassRep[DenseIds[V]] = V;
     return true;
+  };
+
+  auto decide = [&](unsigned X, unsigned Y) {
+    if (!Tree)
+      Tree = CliqueTree::build(Current);
+    return Chain == ChordalChain::Any
+               ? chordalIncrementalCoalescing(Current, *Tree, X, Y, P.K)
+               : chordalIncrementalDP(Current, *Tree, X, Y, P.K);
   };
 
   std::vector<unsigned> Order(P.Affinities.size());
@@ -58,6 +80,13 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
 
   ChordalStrategyResult Result;
   for (unsigned Idx : Order) {
+    // pollNow, not expired(): nothing else polls this token here, so a
+    // deadline-armed token would otherwise never trip. Once per affinity
+    // decision, the clock read is noise.
+    if (Cancel && Cancel->pollNow()) {
+      Result.TimedOut = true;
+      break;
+    }
     const Affinity &A = P.Affinities[Idx];
     unsigned X = DenseIds[A.U], Y = DenseIds[A.V];
     if (X == Y)
@@ -67,26 +96,21 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       ++Result.InfeasibleAffinities;
       continue;
     }
-    ChordalIncrementalResult Decision =
-        chordalIncrementalCoalescing(Current, X, Y, P.K);
+    ChordalIncrementalResult Decision = decide(X, Y);
     if (!Decision.Feasible) {
       ++Result.InfeasibleAffinities;
       continue;
     }
-    // Merge the whole chain (it includes X and Y). The chain vertices are
-    // current-graph classes; map them back through representatives.
-    assert(Decision.MergedChain.size() >= 2 && "chain must contain x and y");
-    // Find one original vertex per chain class and union them all into a
-    // tentative partition.
-    std::vector<unsigned> Reps;
-    for (unsigned Vertex = 0; Vertex < N; ++Vertex)
-      if (std::find(Decision.MergedChain.begin(),
-                    Decision.MergedChain.end(),
-                    DenseIds[Vertex]) != Decision.MergedChain.end())
-        Reps.push_back(Vertex);
+    // Merge the whole chain (it includes X and Y). Its vertices are
+    // current classes; union one original vertex of each.
+    const std::vector<unsigned> &Merged = Decision.MergedChain;
+    assert(Merged.size() >= 2 && "chain must contain x and y");
     UnionFind Tentative = Classes;
-    for (size_t I = 1; I < Reps.size(); ++I)
-      Tentative.merge(Reps[0], Reps[I]);
+    unsigned MergedVertices = 0;
+    for (unsigned Class : Merged) {
+      Tentative.merge(ClassRep[Merged.front()], ClassRep[Class]);
+      MergedVertices += ClassSize[Class];
+    }
     if (!tryCommit(std::move(Tentative), Decision.GapFree)) {
       // The chain threads through free color slots and merging its real
       // vertices would break chordality, which every later exact decision
@@ -94,9 +118,8 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       ++Result.DeferredGapped;
       continue;
     }
-    Result.ChainMerges +=
-        static_cast<unsigned>(Decision.MergedChain.size()) - 2;
-    for (size_t I = 1; I < Reps.size(); ++I)
+    Result.ChainMerges += static_cast<unsigned>(Merged.size()) - 2;
+    for (unsigned I = 1; I < MergedVertices; ++I)
       Count(EngineEvent::MergeCommitted);
   }
 

@@ -25,8 +25,20 @@
 
 #include "coalescing/Problem.h"
 #include "coalescing/Telemetry.h"
+#include "support/CancelToken.h"
 
 namespace rc {
+
+/// Which interval chain the strategy merges for each feasible affinity.
+enum class ChordalChain {
+  /// Any chain, found by BFS marking (chordalIncrementalCoalescing); the
+  /// `chordal-thm5` strategy.
+  Any,
+  /// The chain with the fewest slack intervals, then the fewest real
+  /// merges, found by the clique-tree DP (chordalIncrementalDP); the
+  /// `exact-chordal-dp` strategy.
+  FewestMerges,
+};
 
 /// Result of the chordal Theorem 5 strategy.
 struct ChordalStrategyResult {
@@ -42,14 +54,19 @@ struct ChordalStrategyResult {
   /// decision relies on. (Gapped chains whose quotient happens to stay
   /// chordal are still committed.)
   unsigned DeferredGapped = 0;
+  /// True when a CancelToken expired mid-run; the solution holds the
+  /// merges accepted so far (each individually optimal, still valid).
+  bool TimedOut = false;
 };
 
-/// Runs the Theorem 5 strategy on \p P. Requires \p P.G chordal and
-/// \p P.K >= omega(P.G) (asserted). When \p Telemetry is non-null, merge
-/// attempt/commit counters accumulate into it.
+/// Runs the Theorem 5 strategy on \p P, merging the chains \p Chain
+/// selects. Requires \p P.G chordal and \p P.K >= omega(P.G) (asserted).
+/// When \p Telemetry is non-null, merge attempt/commit counters accumulate
+/// into it. Polls \p Cancel between affinities.
 ChordalStrategyResult chordalCoalesce(const CoalescingProblem &P,
-                                      CoalescingTelemetry *Telemetry =
-                                          nullptr);
+                                      ChordalChain Chain = ChordalChain::Any,
+                                      CoalescingTelemetry *Telemetry = nullptr,
+                                      const CancelToken *Cancel = nullptr);
 
 } // namespace rc
 

@@ -6,7 +6,6 @@
 #include "coalescing/ChordalIncremental.h"
 #include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
-#include "coalescing/ExactChordalDP.h"
 #include "coalescing/ExactSearch.h"
 #include "coalescing/IteratedRegisterCoalescing.h"
 #include "coalescing/WorkGraph.h"
@@ -277,7 +276,8 @@ bool testing::checkDifferentialExact(const CoalescingProblem &P,
   }
 
   // The Theorem 5 strategy may merge non-affinity chain vertices, so its
-  // partition is compared against the k-colorable (not greedy) optimum.
+  // partition, under either chain rule, is compared against the
+  // k-colorable (not greedy) optimum.
   unsigned Omega =
       P.G.numVertices() && isChordal(P.G) ? chordalCliqueNumber(P.G) : ~0u;
   if (Omega != ~0u && P.K >= Omega && P.K > 0) {
@@ -285,15 +285,19 @@ bool testing::checkDifferentialExact(const CoalescingProblem &P,
         exactCoalesceSearch(P, {ExactFeasibility::ExactColor});
     if (!ExactAny.Optimal)
       return fail(Error, "exact (non-greedy) search did not complete");
-    ChordalStrategyResult C = chordalCoalesce(P);
-    if (!checkSolutionSound(P, C.Solution, /*RequireGreedy=*/true, &Why))
-      return fail(Error, "chordal-strategy: " + Why);
-    if (C.Stats.CoalescedWeight > ExactAny.Stats.CoalescedWeight + Eps) {
-      std::ostringstream OS;
-      OS << "chordal strategy coalesced weight " << C.Stats.CoalescedWeight
-         << " exceeds the exact optimum " << ExactAny.Stats.CoalescedWeight
-         << " (unsound merge)";
-      return fail(Error, OS.str());
+    for (ChordalChain Chain : {ChordalChain::Any, ChordalChain::FewestMerges}) {
+      const char *Name =
+          Chain == ChordalChain::Any ? "chordal-thm5" : "exact-chordal-dp";
+      ChordalStrategyResult C = chordalCoalesce(P, Chain);
+      if (!checkSolutionSound(P, C.Solution, /*RequireGreedy=*/true, &Why))
+        return fail(Error, std::string(Name) + ": " + Why);
+      if (C.Stats.CoalescedWeight > ExactAny.Stats.CoalescedWeight + Eps) {
+        std::ostringstream OS;
+        OS << Name << " coalesced weight " << C.Stats.CoalescedWeight
+           << " exceeds the exact optimum " << ExactAny.Stats.CoalescedWeight
+           << " (unsound merge)";
+        return fail(Error, OS.str());
+      }
     }
   }
 
@@ -432,7 +436,7 @@ bool testing::checkExactGapSound(const CoalescingProblem &P,
       continue;
     ChordalIncrementalResult Bfs =
         chordalIncrementalCoalescing(P.G, A.U, A.V, P.K);
-    ChordalDPResult Dp = chordalIncrementalDP(P.G, A.U, A.V, P.K);
+    ChordalIncrementalResult Dp = chordalIncrementalDP(P.G, A.U, A.V, P.K);
     ExactColoringResult Exact =
         exactKColoringWithEquality(P.G, A.U, A.V, P.K);
     if (Exact.HitLimit)
@@ -452,7 +456,7 @@ bool testing::checkExactGapSound(const CoalescingProblem &P,
       return fail(Error, Where.str() +
                              "BFS found a gap-free chain the DP missed");
     if (Bfs.GapFree && Dp.GapFree &&
-        Dp.RealMerges + 2 > Bfs.MergedChain.size())
+        Dp.MergedChain.size() > Bfs.MergedChain.size())
       return fail(Error, Where.str() + "DP chain merges more real vertices "
                                        "than the BFS chain");
   }

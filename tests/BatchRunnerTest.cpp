@@ -121,9 +121,9 @@ TEST(BatchRunnerTest, DeadlineYieldsFlaggedPartialOutcome) {
 }
 
 // The exact baselines through the batch runner: a per-job deadline turns
-// both solvers into flagged partial outcomes (never errors), and the
-// partial quotients stay greedy-k-colorable -- the dashboard counts them
-// into rollups like any other run.
+// exact-bb and both Theorem 5 strategies into flagged partial outcomes
+// (never errors), and the partial quotients stay greedy-k-colorable -- the
+// dashboard counts them into rollups like any other run.
 TEST(BatchRunnerTest, ExactStrategiesHonorBatchDeadlines) {
   std::vector<LabeledProblem> Problems;
   LabeledProblem LP;
@@ -135,10 +135,11 @@ TEST(BatchRunnerTest, ExactStrategiesHonorBatchDeadlines) {
   Options.Workers = 2;
   Options.TimeoutMillis = 1;
   BatchReport Report =
-      runBatch(crossJobs(Problems, {"exact-bb", "exact-chordal-dp"}),
+      runBatch(crossJobs(Problems,
+                         {"exact-bb", "exact-chordal-dp", "chordal-thm5"}),
                Options);
-  ASSERT_EQ(Report.Jobs.size(), 2u);
-  EXPECT_EQ(Report.timedOutJobs(), 2u);
+  ASSERT_EQ(Report.Jobs.size(), 3u);
+  EXPECT_EQ(Report.timedOutJobs(), 3u);
   EXPECT_EQ(Report.failedJobs(), 0u);
   for (const BatchJobResult &Job : Report.Jobs) {
     ASSERT_EQ(Job.Result.Status, RunStatus::TimedOut) << Job.Spec;
@@ -147,7 +148,7 @@ TEST(BatchRunnerTest, ExactStrategiesHonorBatchDeadlines) {
     EXPECT_TRUE(Job.Result.Outcome.Partial);
     EXPECT_TRUE(Job.Result.Outcome.QuotientGreedyKColorable) << Job.Spec;
   }
-  ASSERT_EQ(Report.Rollups.size(), 2u);
+  ASSERT_EQ(Report.Rollups.size(), 3u);
   for (const StrategyRollup &Rollup : Report.Rollups) {
     EXPECT_EQ(Rollup.Runs, 1u);
     EXPECT_EQ(Rollup.TimedOut, 1u);

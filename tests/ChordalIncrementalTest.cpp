@@ -2,6 +2,7 @@
 
 #include "coalescing/ChordalIncremental.h"
 #include "graph/Chordal.h"
+#include "graph/CliqueTree.h"
 #include "graph/ExactColoring.h"
 #include "graph/Generators.h"
 
@@ -47,6 +48,33 @@ TEST(ChordalIncrementalTest, DifferentComponents) {
   ASSERT_TRUE(R.Feasible);
   EXPECT_EQ(R.Witness[0], R.Witness[3]);
   EXPECT_TRUE(isValidColoring(G, R.Witness, 3));
+}
+
+TEST(ChordalIncrementalTest, CrossComponentAtTightPressure) {
+  // Two full triangles at k = omega = 3: no clique has a free slot, and x
+  // and y lie in different components. The clique tree joins the
+  // components through an empty separator, so the path between T_x and
+  // T_y is that one edge and the chain is just {x, y}.
+  Graph G(6);
+  G.addClique({0, 1, 2});
+  G.addClique({3, 4, 5});
+  const unsigned K = 3;
+  CliqueTree T = CliqueTree::build(G);
+  std::vector<unsigned> Path =
+      T.pathBetweenSubtrees(T.nodesContaining(0), T.nodesContaining(3));
+  ASSERT_EQ(Path.size(), 2u);
+  EXPECT_EQ(T.clique(Path[0]), (std::vector<unsigned>{0, 1, 2}));
+  EXPECT_EQ(T.clique(Path[1]), (std::vector<unsigned>{3, 4, 5}));
+
+  for (const ChordalIncrementalResult &R :
+       {chordalIncrementalCoalescing(G, 0, 3, K),
+        chordalIncrementalDP(G, 0, 3, K)}) {
+    ASSERT_TRUE(R.Feasible);
+    EXPECT_TRUE(R.GapFree);
+    EXPECT_EQ(R.MergedChain, (std::vector<unsigned>{0, 3}));
+    EXPECT_EQ(R.Witness[0], R.Witness[3]);
+    EXPECT_TRUE(isValidColoring(G, R.Witness, static_cast<int>(K)));
+  }
 }
 
 TEST(ChordalIncrementalTest, TightCorridorInfeasible) {

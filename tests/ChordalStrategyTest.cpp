@@ -13,6 +13,9 @@ using namespace rc;
 
 namespace {
 
+constexpr ChordalChain BothChains[] = {ChordalChain::Any,
+                                       ChordalChain::FewestMerges};
+
 CoalescingProblem chordalInstance(Rng &Rand, unsigned N, unsigned NumAff,
                                   unsigned Slack) {
   CoalescingProblem P;
@@ -61,12 +64,17 @@ TEST(ChordalStrategyTest, QuotientStaysKColorable) {
   Rng Rand(181);
   for (int Trial = 0; Trial < 12; ++Trial) {
     CoalescingProblem P = chordalInstance(Rand, 18, 12, Trial % 3);
-    ChordalStrategyResult R = chordalCoalesce(P);
-    EXPECT_TRUE(isValidCoalescing(P.G, R.Solution));
-    Graph Q = buildCoalescedGraph(P.G, R.Solution);
-    EXPECT_TRUE(isChordal(Q));
-    EXPECT_LE(chordalCliqueNumber(Q), P.K);
-    EXPECT_TRUE(isGreedyKColorable(Q, P.K));
+    for (ChordalChain Chain : BothChains) {
+      ChordalStrategyResult R = chordalCoalesce(P, Chain);
+      EXPECT_FALSE(R.TimedOut);
+      EXPECT_TRUE(isValidCoalescing(P.G, R.Solution));
+      Graph Q = buildCoalescedGraph(P.G, R.Solution);
+      EXPECT_TRUE(isChordal(Q));
+      EXPECT_LE(chordalCliqueNumber(Q), P.K);
+      EXPECT_TRUE(isGreedyKColorable(Q, P.K));
+      EXPECT_NEAR(R.Stats.CoalescedWeight + R.Stats.UncoalescedWeight,
+                  totalAffinityWeight(P), 1e-9);
+    }
   }
 }
 
@@ -76,9 +84,11 @@ TEST(ChordalStrategyTest, ChainMergesKeepOmega) {
   for (int Trial = 0; Trial < 12; ++Trial) {
     CoalescingProblem P = chordalInstance(Rand, 16, 10, 0);
     unsigned OmegaBefore = chordalCliqueNumber(P.G);
-    ChordalStrategyResult R = chordalCoalesce(P);
-    Graph Q = buildCoalescedGraph(P.G, R.Solution);
-    EXPECT_LE(chordalCliqueNumber(Q), OmegaBefore);
+    for (ChordalChain Chain : BothChains) {
+      ChordalStrategyResult R = chordalCoalesce(P, Chain);
+      Graph Q = buildCoalescedGraph(P.G, R.Solution);
+      EXPECT_LE(chordalCliqueNumber(Q), OmegaBefore);
+    }
   }
 }
 
@@ -107,11 +117,11 @@ TEST(ChordalStrategyTest, FirstAffinityDecisionIsOptimal) {
     CoalescingProblem P = chordalInstance(Rand, 14, 1, 0);
     if (P.Affinities.empty())
       continue;
-    ChordalStrategyResult R = chordalCoalesce(P);
     ExactSearchResult Exact =
         exactCoalesceSearch(P, {ExactFeasibility::ExactColor});
     ASSERT_TRUE(Exact.Optimal);
-    EXPECT_EQ(R.Stats.CoalescedAffinities,
-              Exact.Stats.CoalescedAffinities);
+    for (ChordalChain Chain : BothChains)
+      EXPECT_EQ(chordalCoalesce(P, Chain).Stats.CoalescedAffinities,
+                Exact.Stats.CoalescedAffinities);
   }
 }

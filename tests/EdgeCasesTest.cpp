@@ -45,7 +45,8 @@ TEST(EdgeCasesTest, EmptyProblemAllStrategies) {
   EXPECT_TRUE(optimisticCoalesce(P).GreedyKColorable);
   EXPECT_TRUE(iteratedRegisterCoalescing(P).Spilled.empty());
   EXPECT_TRUE(exactCoalesceSearch(P, {ExactFeasibility::Greedy}).Optimal);
-  EXPECT_EQ(chordalCoalesce(P).Stats.CoalescedAffinities, 0u);
+  for (ChordalChain Chain : {ChordalChain::Any, ChordalChain::FewestMerges})
+    EXPECT_EQ(chordalCoalesce(P, Chain).Stats.CoalescedAffinities, 0u);
   EXPECT_TRUE(biasedColoring(P).Colors.empty());
 }
 
@@ -143,7 +144,10 @@ TEST(EdgeCasesTest, IrcAllVerticesIsolated) {
 
 TEST(EdgeCasesTest, ChordalIncrementalOnTwoIsolatedVertices) {
   Graph G(2);
-  ChordalIncrementalResult R = chordalIncrementalCoalescing(G, 0, 1, 1);
-  ASSERT_TRUE(R.Feasible);
-  EXPECT_EQ(R.Witness[0], R.Witness[1]);
+  for (const ChordalIncrementalResult &R :
+       {chordalIncrementalCoalescing(G, 0, 1, 1),
+        chordalIncrementalDP(G, 0, 1, 1)}) {
+    ASSERT_TRUE(R.Feasible);
+    EXPECT_EQ(R.Witness[0], R.Witness[1]);
+  }
 }

@@ -8,7 +8,7 @@
 #include "challenge/ChallengeInstance.h"
 #include "challenge/StrategyRegistry.h"
 #include "coalescing/ChordalIncremental.h"
-#include "coalescing/ExactChordalDP.h"
+#include "coalescing/ChordalStrategy.h"
 #include "coalescing/ExactSearch.h"
 #include "graph/Chordal.h"
 #include "graph/ExactColoring.h"
@@ -137,10 +137,10 @@ TEST(ExactBaselineTest, GappedChainDecisionAgreesAcrossImplementations) {
   EXPECT_EQ(Bfs.Witness[0], Bfs.Witness[1]);
   EXPECT_TRUE(isValidColoring(G, Bfs.Witness, static_cast<int>(K)));
 
-  ChordalDPResult Dp = chordalIncrementalDP(G, 0, 1, K);
+  ChordalIncrementalResult Dp = chordalIncrementalDP(G, 0, 1, K);
   EXPECT_TRUE(Dp.Feasible);
   EXPECT_FALSE(Dp.GapFree);
-  EXPECT_EQ(Dp.RealMerges, 0u);
+  EXPECT_EQ(Dp.MergedChain, (std::vector<unsigned>{0, 1}));
   EXPECT_EQ(Dp.Witness[0], Dp.Witness[1]);
   EXPECT_TRUE(isValidColoring(G, Dp.Witness, static_cast<int>(K)));
 
@@ -166,7 +166,7 @@ TEST(ExactBaselineTest, DpStrategyQuotientStaysChordalWithinK) {
         P.Affinities.push_back(
             {U, V, 1.0 + static_cast<double>(Rand.nextBelow(9))});
     }
-    ChordalDPStrategyResult R = chordalCoalesceDP(P);
+    ChordalStrategyResult R = chordalCoalesce(P, ChordalChain::FewestMerges);
     EXPECT_FALSE(R.TimedOut);
     EXPECT_TRUE(isValidCoalescing(P.G, R.Solution));
     Graph Q = buildCoalescedGraph(P.G, R.Solution);
@@ -213,25 +213,31 @@ TEST(ExactBaselineTest, ExpiredDeadlineAbortsExactSearchSoundly) {
 TEST(ExactBaselineTest, PreCancelledTokenAbortsChordalDP) {
   CoalescingProblem P = challengeInstance(/*Seed=*/13, /*N=*/48, /*Slack=*/2);
   ASSERT_TRUE(isChordal(P.G));
-  CancelToken Token;
-  Token.cancel();
-  ChordalDPStrategyResult R = chordalCoalesceDP(P, nullptr, &Token);
-  EXPECT_TRUE(R.TimedOut);
-  EXPECT_EQ(R.Stats.CoalescedAffinities, 0u);
-  std::string Err;
-  EXPECT_TRUE(checkSolutionSound(P, R.Solution, /*RequireGreedy=*/true, &Err))
-      << Err;
+  for (ChordalChain Chain : {ChordalChain::Any, ChordalChain::FewestMerges}) {
+    CancelToken Token;
+    Token.cancel();
+    ChordalStrategyResult R = chordalCoalesce(P, Chain, nullptr, &Token);
+    EXPECT_TRUE(R.TimedOut);
+    EXPECT_EQ(R.Stats.CoalescedAffinities, 0u);
+    std::string Err;
+    EXPECT_TRUE(
+        checkSolutionSound(P, R.Solution, /*RequireGreedy=*/true, &Err))
+        << Err;
+  }
 }
 
 TEST(ExactBaselineTest, ExpiredDeadlineAbortsChordalDP) {
   CoalescingProblem P = challengeInstance(/*Seed=*/14, /*N=*/48, /*Slack=*/0);
-  CancelToken Token(std::chrono::milliseconds(0));
-  ChordalDPStrategyResult R = chordalCoalesceDP(P, nullptr, &Token);
-  EXPECT_TRUE(R.TimedOut);
-  EXPECT_EQ(R.Stats.CoalescedAffinities, 0u);
-  std::string Err;
-  EXPECT_TRUE(checkSolutionSound(P, R.Solution, /*RequireGreedy=*/true, &Err))
-      << Err;
+  for (ChordalChain Chain : {ChordalChain::Any, ChordalChain::FewestMerges}) {
+    CancelToken Token(std::chrono::milliseconds(0));
+    ChordalStrategyResult R = chordalCoalesce(P, Chain, nullptr, &Token);
+    EXPECT_TRUE(R.TimedOut);
+    EXPECT_EQ(R.Stats.CoalescedAffinities, 0u);
+    std::string Err;
+    EXPECT_TRUE(
+        checkSolutionSound(P, R.Solution, /*RequireGreedy=*/true, &Err))
+        << Err;
+  }
 }
 
 //===----------------------------------------------------------------------===//
