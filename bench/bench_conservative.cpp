@@ -51,7 +51,7 @@ BENCHMARK(BM_ConservativeLegacy<ConservativeRule::Briggs>)->Range(64, 2048);
 BENCHMARK(BM_ConservativeRule<ConservativeRule::George>)->Range(64, 2048);
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BriggsOrGeorge>)
     ->Range(64, 2048);
-// 8192 is past WorkGraph::DefaultDenseThreshold, so the last row times the
+// 8192 is past Graph::DefaultDenseThreshold, so the last row times the
 // sparse engine's brute-force probes.
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BruteForce>)
     ->Range(64, 2048)

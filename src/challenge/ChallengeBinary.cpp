@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -27,23 +28,6 @@ void putU64(std::ostream &OS, uint64_t X) {
   putU32(OS, static_cast<uint32_t>(X >> 32));
 }
 
-bool getU32(std::istream &IS, uint32_t &X) {
-  unsigned char B[4];
-  if (!IS.read(reinterpret_cast<char *>(B), 4))
-    return false;
-  X = static_cast<uint32_t>(B[0]) | (static_cast<uint32_t>(B[1]) << 8) |
-      (static_cast<uint32_t>(B[2]) << 16) | (static_cast<uint32_t>(B[3]) << 24);
-  return true;
-}
-
-bool getU64(std::istream &IS, uint64_t &X) {
-  uint32_t Lo, Hi;
-  if (!getU32(IS, Lo) || !getU32(IS, Hi))
-    return false;
-  X = static_cast<uint64_t>(Lo) | (static_cast<uint64_t>(Hi) << 32);
-  return true;
-}
-
 bool fail(std::string *Error, const std::string &Message) {
   if (Error)
     *Error = Message;
@@ -61,8 +45,8 @@ inline uint64_t loadU64LE(const unsigned char *P) {
          (static_cast<uint64_t>(loadU32LE(P + 4)) << 32);
 }
 
-/// Header count validation shared by the stream and buffer readers. The
-/// overflow checks run before any size arithmetic or allocation: a corrupt
+/// Header count validation. The overflow checks run before any size
+/// arithmetic or allocation: a corrupt
 /// count must fail loudly here, not wrap 32 + 8*E + 16*A around uint64_t /
 /// size_t and pass a downstream bounds check.
 bool checkHeaderCounts(uint32_t N, uint64_t EdgeCount, uint64_t AffinityCount,
@@ -117,63 +101,12 @@ void rc::writeChallengeBinary(std::ostream &OS, const CoalescingProblem &P) {
 
 bool rc::readChallengeBinary(std::istream &IS, CoalescingProblem &P,
                              std::string *Error) {
-  P = CoalescingProblem();
-  char Magic[4];
-  if (!IS.read(Magic, 4))
-    return fail(Error, "truncated header (missing magic)");
-  if (std::memcmp(Magic, ChallengeBinaryMagic, 4) != 0)
-    return fail(Error, "bad magic (not a binary challenge file)");
-  uint32_t Version, K, N;
-  uint64_t EdgeCount, AffinityCount;
-  if (!getU32(IS, Version) || !getU32(IS, K) || !getU32(IS, N) ||
-      !getU64(IS, EdgeCount) || !getU64(IS, AffinityCount))
-    return fail(Error, "truncated header");
-  if (Version != ChallengeBinaryVersion)
-    return fail(Error, "unsupported format version " + std::to_string(Version));
-  if (!checkHeaderCounts(N, EdgeCount, AffinityCount, Error))
-    return false;
-
-  P.K = K;
-  P.G = Graph(N);
-  // Clamp the pre-sizing hint: a stream cannot cheaply prove the declared
-  // count is backed by bytes, and a corrupt header must not drive a giant
-  // up-front allocation. Legitimate oversized rows grow amortized.
-  P.G.reserveVertices(N, std::min<uint64_t>(EdgeCount, uint64_t(1) << 22));
-  uint32_t PrevU = 0, PrevV = 0;
-  for (uint64_t I = 0; I < EdgeCount; ++I) {
-    uint32_t U, V;
-    if (!getU32(IS, U) || !getU32(IS, V))
-      return fail(Error, "truncated edge list at edge " + std::to_string(I));
-    if (U >= N || V >= N)
-      return fail(Error, "edge endpoint out of range at edge " +
-                             std::to_string(I));
-    if (U >= V)
-      return fail(Error, "edge not in canonical u < v form at edge " +
-                             std::to_string(I));
-    if (I > 0 && (U < PrevU || (U == PrevU && V <= PrevV)))
-      return fail(Error, "edges not sorted (or duplicated) at edge " +
-                             std::to_string(I));
-    PrevU = U;
-    PrevV = V;
-    P.G.addEdge(U, V);
-  }
-  P.Affinities.reserve(std::min<uint64_t>(AffinityCount, uint64_t(1) << 20));
-  for (uint64_t I = 0; I < AffinityCount; ++I) {
-    uint32_t U, V;
-    uint64_t Bits;
-    if (!getU32(IS, U) || !getU32(IS, V) || !getU64(IS, Bits))
-      return fail(Error,
-                  "truncated affinity list at affinity " + std::to_string(I));
-    if (U >= N || V >= N || U == V)
-      return fail(Error, "malformed affinity endpoints at affinity " +
-                             std::to_string(I));
-    double W;
-    std::memcpy(&W, &Bits, sizeof(W));
-    P.Affinities.push_back({U, V, W});
-  }
-  if (IS.peek() != std::istream::traits_type::eof())
-    return fail(Error, "trailing bytes after affinity list");
-  return true;
+  // One parser: buffer the stream and validate it like a mapped file.
+  std::string Bytes{std::istreambuf_iterator<char>(IS),
+                    std::istreambuf_iterator<char>()};
+  return readChallengeBinaryBuffer(
+      reinterpret_cast<const unsigned char *>(Bytes.data()), Bytes.size(), P,
+      Error);
 }
 
 bool rc::readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
@@ -191,6 +124,8 @@ bool rc::readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
   uint64_t AffinityCount = loadU64LE(Data + 24);
   if (Version != ChallengeBinaryVersion)
     return fail(Error, "unsupported format version " + std::to_string(Version));
+  if (K == 0)
+    return fail(Error, "register count k must be positive");
   if (!checkHeaderCounts(N, EdgeCount, AffinityCount, Error))
     return false;
   // The overflow checks above make this size arithmetic exact; the whole

@@ -60,7 +60,10 @@ inline constexpr uint32_t ChallengeBinaryVersion = 1;
 /// (sorted, u < v) order whatever the graph's internal adjacency order.
 void writeChallengeBinary(std::ostream &OS, const CoalescingProblem &P);
 
-/// Parses a binary instance from \p IS (opened in binary mode).
+/// Parses a binary instance from \p IS (opened in binary mode): reads the
+/// rest of the stream into memory and parses it with
+/// readChallengeBinaryBuffer, so both entry points accept and reject the
+/// same bytes.
 ///
 /// \param [out] Error diagnostic on failure.
 /// \returns true on success, storing the instance into \p P.

@@ -27,7 +27,7 @@ static bool fail(std::string *Error, const std::string &Message) {
 bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
                        std::string *Error) {
   P = CoalescingProblem();
-  bool SawN = false;
+  bool SawK = false, SawN = false;
   std::string Line;
   unsigned LineNo = 0;
   while (std::getline(IS, Line)) {
@@ -40,6 +40,9 @@ bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
     if (Tag == "k") {
       if (!(LS >> P.K))
         return fail(Error, where() + "expected register count after 'k'");
+      if (P.K == 0)
+        return fail(Error, where() + "register count must be positive");
+      SawK = true;
     } else if (Tag == "n") {
       unsigned N;
       if (!(LS >> N))
@@ -69,5 +72,7 @@ bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
   }
   if (!SawN)
     return fail(Error, "missing 'n' line");
+  if (!SawK)
+    return fail(Error, "missing 'k' line");
   return true;
 }

@@ -30,7 +30,8 @@ namespace rc {
 /// Writes \p P in the text format.
 void writeChallenge(std::ostream &OS, const CoalescingProblem &P);
 
-/// Parses an instance from \p IS.
+/// Parses an instance from \p IS. Both a 'k' line with a positive
+/// register count and an 'n' line are required.
 ///
 /// \param [out] Error diagnostic on failure.
 /// \returns true on success, storing the instance into \p P.

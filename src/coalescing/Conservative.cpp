@@ -9,149 +9,21 @@
 
 using namespace rc;
 
-/// Counts the neighbor classes of the merged node (CU u CV) whose
-/// post-merge degree is >= K by walking the neighbor sets — the original
-/// O(deg(u)+deg(v)) set-probing test. A common neighbor of CU and CV loses
-/// one neighbor in the merge and is counted once. With \p Blockers,
-/// additionally collects the counted classes.
-static unsigned briggsHighDegreeWalk(const WorkGraph &WG, unsigned CU,
-                                     unsigned CV, unsigned K,
-                                     std::vector<unsigned> *Blockers) {
-  unsigned HighDegree = 0;
-  for (unsigned N : WG.neighborClasses(CU)) {
-    if (N == CV)
-      continue;
-    unsigned Deg = WG.degree(N);
-    if (WG.classesAdjacent(CV, N))
-      --Deg;
-    if (Deg >= K) {
-      ++HighDegree;
-      if (Blockers)
-        Blockers->push_back(N);
-    }
-  }
-  for (unsigned N : WG.neighborClasses(CV)) {
-    if (N == CU || WG.classesAdjacent(CU, N))
-      continue; // Common neighbors were counted in the first loop.
-    if (WG.degree(N) >= K) {
-      ++HighDegree;
-      if (Blockers)
-        Blockers->push_back(N);
-    }
-  }
-  return HighDegree;
-}
-
-bool rc::briggsTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
-                    std::vector<unsigned> *Blockers) {
+bool rc::briggsTest(const WorkGraph &WG, unsigned U, unsigned V,
+                    [[maybe_unused]] unsigned K) {
   WG.note(EngineEvent::BriggsTestRun, U, V);
-  unsigned CU = WG.classOf(U), CV = WG.classOf(V);
-  assert(CU != CV && "testing a merge of one class with itself");
-  bool Passed;
-  bool Decided = false;
-  if (WG.degreeCacheK() == K) {
-    if (WG.usesDenseAdjacency()) {
-      // One masked sweep counts the high-degree neighbors of the merged
-      // node directly: significant neighbors of the union minus commons at
-      // exactly K (which drop below the threshold when the merge takes
-      // their shared neighbor). Interfering endpoints count themselves
-      // when significant, so the bar is raised to compensate; the sweep
-      // aborts as soon as failure is certain.
-      unsigned Limit = K;
-      if (WG.classesAdjacent(CU, CV)) {
-        if (WG.degree(V) >= K)
-          ++Limit;
-        if (WG.degree(U) >= K)
-          ++Limit;
-      }
-      Passed = WG.briggsHighDegreeBelow(CU, CV, Limit);
-      Decided = true;
-    } else if (WG.significantNeighbors(CU) + WG.significantNeighbors(CV) <
-               K) {
-      // The high-degree count is at most SU + SV (overlap corrections only
-      // shrink it), so the test passes without looking at any neighbor.
-      Passed = true;
-      Decided = true;
-    } else {
-      // Sparse cached sweep: a merge-walk over the two sorted rows finds
-      // the commons by comparison, so the count costs O(deg(u) + deg(v))
-      // instead of the walk's binary search per neighbor. The sweep skips
-      // the endpoints like the walk does, so the limit needs no adjacency
-      // correction.
-      Passed = WG.briggsHighDegreeBelowSparse(CU, CV, K);
-      Decided = true;
-    }
-  }
-  if (!Decided)
-    Passed = briggsHighDegreeWalk(WG, CU, CV, K, nullptr) < K;
-  if (!Passed && Blockers) {
-    if (WG.degreeCacheK() == K && WG.usesDenseAdjacency())
-      WG.appendBriggsHighDegree(CU, CV, *Blockers);
-    else if (WG.degreeCacheK() == K)
-      WG.appendBriggsHighDegreeSparse(CU, CV, *Blockers);
-    else
-      briggsHighDegreeWalk(WG, CU, CV, K, Blockers);
-  }
+  assert(WG.degreeCacheK() == K && "enable the degree cache at K first");
+  bool Passed = WG.briggsSafe(WG.classOf(U), WG.classOf(V));
   if (Passed)
     WG.note(EngineEvent::BriggsTestPassed, U, V);
   return Passed;
 }
 
-/// George's test by walking CU's neighbor set. With \p Witnesses, collects
-/// every failing neighbor instead of stopping at the first.
-static bool georgeWalk(const WorkGraph &WG, unsigned CU, unsigned CV,
-                       unsigned K, std::vector<unsigned> *Witnesses) {
-  bool Passed = true;
-  for (unsigned N : WG.neighborClasses(CU)) {
-    if (N == CV)
-      continue;
-    if (WG.degree(N) >= K && !WG.classesAdjacent(CV, N)) {
-      if (!Witnesses)
-        return false;
-      Passed = false;
-      Witnesses->push_back(N);
-    }
-  }
-  return Passed;
-}
-
-bool rc::georgeTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
-                    std::vector<unsigned> *Blockers) {
+bool rc::georgeTest(const WorkGraph &WG, unsigned U, unsigned V,
+                    [[maybe_unused]] unsigned K) {
   WG.note(EngineEvent::GeorgeTestRun, U, V);
-  unsigned CU = WG.classOf(U), CV = WG.classOf(V);
-  assert(CU != CV && "testing a merge of one class with itself");
-  bool Passed;
-  bool Decided = false;
-  if (WG.degreeCacheK() == K) {
-    // Pass iff every significant neighbor of CU (other than CV itself) is
-    // adjacent to CV.
-    if (WG.usesDenseAdjacency()) {
-      Passed = WG.georgeWitnessesEmpty(CU, CV);
-      Decided = true;
-    } else {
-      unsigned SU = WG.significantNeighbors(CU);
-      if (WG.classesAdjacent(CU, CV) && WG.degree(V) >= K)
-        --SU;
-      if (SU == 0) {
-        Passed = true;
-      } else {
-        // Sparse cached sweep: stamp CV's row once, then each significant
-        // neighbor of CU is one O(1) probe instead of a binary search.
-        Passed = WG.georgeWitnessesEmptySparse(CU, CV);
-      }
-      Decided = true;
-    }
-  }
-  if (!Decided)
-    Passed = georgeWalk(WG, CU, CV, K, nullptr);
-  if (!Passed && Blockers) {
-    if (WG.degreeCacheK() == K && WG.usesDenseAdjacency())
-      WG.appendGeorgeWitnesses(CU, CV, *Blockers);
-    else if (WG.degreeCacheK() == K)
-      WG.appendGeorgeWitnessesSparse(CU, CV, *Blockers);
-    else
-      georgeWalk(WG, CU, CV, K, Blockers);
-  }
+  assert(WG.degreeCacheK() == K && "enable the degree cache at K first");
+  bool Passed = WG.georgeSafe(WG.classOf(U), WG.classOf(V));
   if (Passed)
     WG.note(EngineEvent::GeorgeTestPassed, U, V);
   return Passed;
@@ -297,36 +169,27 @@ static bool ruleAllows(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
 /// Fills the watch set for a just-rejected affinity: the classes whose
 /// state must change before \p Rule's outcome can. Dense mode ORs the
 /// cached masks into \p Mask (maskWords() words); sparse mode appends
-/// class ids to \p List via the walk helpers. Brute-force rejections watch
-/// the stuck core in \p StuckReps. The endpoints are added by the caller.
+/// class ids to \p List through the merge-walk helpers. Brute-force
+/// rejections watch the stuck core in \p StuckReps. The endpoints are
+/// added by the caller.
 static void collectWatchSet(const WorkGraph &WG, unsigned CU, unsigned CV,
-                            unsigned K, ConservativeRule Rule,
+                            ConservativeRule Rule,
                             const std::vector<unsigned> &StuckReps,
                             uint64_t *Mask, std::vector<unsigned> *List) {
-  // Sparse mode with the cache at K (always true in the incremental
-  // driver): collect through the merge-walk helpers, which replace the
-  // legacy walks' binary search per neighbor with bit-mask probes over the
-  // sorted rows. Same blockers in the same order.
-  bool Cached = WG.degreeCacheK() == K;
   switch (Rule) {
   case ConservativeRule::Briggs:
     if (Mask)
       WG.briggsWatchWords(CU, CV, Mask);
-    else if (Cached)
-      WG.appendBriggsHighDegreeSparse(CU, CV, *List);
     else
-      briggsHighDegreeWalk(WG, CU, CV, K, List);
+      WG.appendBriggsHighDegreeSparse(CU, CV, *List);
     break;
   case ConservativeRule::George:
     if (Mask) {
       WG.georgeWatchWords(CU, CV, Mask);
       WG.georgeWatchWords(CV, CU, Mask);
-    } else if (Cached) {
+    } else {
       WG.appendGeorgeWitnessesSparse(CU, CV, *List);
       WG.appendGeorgeWitnessesSparse(CV, CU, *List);
-    } else {
-      georgeWalk(WG, CU, CV, K, List);
-      georgeWalk(WG, CV, CU, K, List);
     }
     break;
   case ConservativeRule::BriggsOrGeorge:
@@ -334,14 +197,10 @@ static void collectWatchSet(const WorkGraph &WG, unsigned CU, unsigned CV,
       WG.briggsWatchWords(CU, CV, Mask);
       WG.georgeWatchWords(CU, CV, Mask);
       WG.georgeWatchWords(CV, CU, Mask);
-    } else if (Cached) {
+    } else {
       WG.appendBriggsHighDegreeSparse(CU, CV, *List);
       WG.appendGeorgeWitnessesSparse(CU, CV, *List);
       WG.appendGeorgeWitnessesSparse(CV, CU, *List);
-    } else {
-      briggsHighDegreeWalk(WG, CU, CV, K, List);
-      georgeWalk(WG, CU, CV, K, List);
-      georgeWalk(WG, CV, CU, K, List);
     }
     break;
   case ConservativeRule::BruteForce:
@@ -475,14 +334,13 @@ ConservativeResult rc::conservativeCoalesce(const CoalescingProblem &P,
         if (MaskWatch) {
           std::vector<uint64_t> &M = WatchMask[Idx];
           M.assign(Words, 0);
-          collectWatchSet(WG, CU, CV, P.K, Rule, StuckReps, M.data(),
-                          nullptr);
+          collectWatchSet(WG, CU, CV, Rule, StuckReps, M.data(), nullptr);
           M[CU >> 6] |= uint64_t(1) << (CU & 63);
           M[CV >> 6] |= uint64_t(1) << (CV & 63);
         } else {
           std::vector<unsigned> &L = WatchList[Idx];
           L.clear();
-          collectWatchSet(WG, CU, CV, P.K, Rule, StuckReps, nullptr, &L);
+          collectWatchSet(WG, CU, CV, Rule, StuckReps, nullptr, &L);
           L.push_back(CU);
           L.push_back(CV);
         }

@@ -22,11 +22,14 @@
 /// Each test preserves greedy-k-colorability, so running the driver on a
 /// greedy-k-colorable graph keeps it greedy-k-colorable (asserted).
 ///
-/// The driver is incremental: it enables the engine's degree cache (so the
-/// tests read cached significant-neighbor counts and masked popcounts
-/// instead of walking neighbor sets) and parks rejected affinities on the
-/// classes that caused the rejection, re-testing one only after a merge
-/// touches a watched class. The original fixpoint re-scan survives only as
+/// Briggs and George are one engine query each (WorkGraph::briggsSafe /
+/// georgeSafe) over the degree cache, which every caller enables at k
+/// before testing; the engine, not the caller, picks the sweep for its
+/// adjacency representation.
+///
+/// The driver is incremental: it parks rejected affinities on the classes
+/// that caused the rejection, re-testing one only after a merge touches a
+/// watched class. The original fixpoint re-scan survives only as
 /// a differential-testing reference (testing/LegacyConservative.h); both
 /// produce identical solutions.
 ///
@@ -60,21 +63,17 @@ enum class ConservativeRule {
 /// Returns true if merging the classes of \p U and \p V passes Briggs' test
 /// on \p WG with \p K registers: the merged class has < k neighbor classes
 /// of degree >= k (common neighbors counted once, with degree reduced by
-/// the merge). When \p WG has its degree cache enabled for this \p K the
-/// count comes from cached counters plus masked popcounts; otherwise the
-/// neighbor sets are walked. On failure, appends to \p Blockers (when
-/// non-null) the classes counted as high-degree — the watch set whose
-/// degree must drop before the test can change its mind.
-bool briggsTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
-                std::vector<unsigned> *Blockers = nullptr);
+/// the merge). Requires the degree cache enabled at \p K; the engine
+/// answers from it (WorkGraph::briggsSafe) in either adjacency mode.
+/// Counts one test run, and one pass when it passes, in the engine's
+/// telemetry.
+bool briggsTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K);
 
 /// Returns true if merging passes George's test: every neighbor class of
-/// \p U with degree >= k is also a neighbor of \p V. Asymmetric. Uses the
-/// degree cache like briggsTest. On failure, appends to \p Blockers (when
-/// non-null) the witnesses: significant neighbors of \p U's class not
-/// adjacent to \p V's.
-bool georgeTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K,
-                std::vector<unsigned> *Blockers = nullptr);
+/// \p U with degree >= k is also a neighbor of \p V. Asymmetric. Requires
+/// the degree cache enabled at \p K, like briggsTest
+/// (WorkGraph::georgeSafe).
+bool georgeTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K);
 
 /// Returns true if the quotient graph remains greedy-k-colorable after
 /// merging the classes of \p U and \p V. The merge is probed under a

@@ -101,6 +101,73 @@ void WorkGraph::enableDegreeCache(unsigned K) {
   }
 }
 
+bool WorkGraph::briggsSafe(unsigned CU, unsigned CV) const {
+  assert(CacheK && "the safety tests read the degree cache");
+  assert(CU != CV && "testing a merge of one class with itself");
+  const unsigned K = CacheK;
+  if (Dense) {
+    // The sweep counts interfering endpoints themselves when they are
+    // significant, so the bar is raised to compensate.
+    unsigned Limit = K;
+    if (ClassEdges.test(CU, CV))
+      Limit += (Deg[CU] >= K) + (Deg[CV] >= K);
+    return briggsHighDegreeBelow(CU, CV, Limit);
+  }
+  // The high-degree count is at most SU + SV (overlap corrections only
+  // shrink it), so the test passes without looking at any neighbor.
+  if (SigCount[CU] + SigCount[CV] < K)
+    return true;
+  // The sparse sweeps skip the endpoints, so the limit needs no adjacency
+  // correction.
+  if (tileRowReady(CU) && tileRowReady(CV))
+    return briggsHighDegreeBelowSparseTiled(CU, CV, K);
+  return briggsHighDegreeBelowSparseWalk(CU, CV, K);
+}
+
+bool WorkGraph::georgeSafe(unsigned CU, unsigned CV) const {
+  assert(CacheK && "the safety tests read the degree cache");
+  assert(CU != CV && "testing a merge of one class with itself");
+  if (Dense)
+    return georgeWitnessesEmpty(CU, CV);
+  // Free pass when CU has no significant neighbor besides CV.
+  unsigned SU = SigCount[CU];
+  if (ClassArena.rowSize(CV) >= CacheK && classesAdjacent(CU, CV))
+    --SU;
+  if (SU == 0)
+    return true;
+  if (tileRowReady(CU) && tileRowReady(CV))
+    return georgeWitnessesEmptySparseTiled(CU, CV);
+  return georgeWitnessesEmptySparseWalk(CU, CV);
+}
+
+bool WorkGraph::briggsHighDegreeBelow(unsigned CU, unsigned CV,
+                                      unsigned Limit) const {
+  assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
+  const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
+  unsigned High = 0;
+  for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
+    uint64_t B = (RU[W] | RV[W]) & SigWords[W] &
+                 ~(RU[W] & RV[W] & ExactKWords[W]);
+    High += static_cast<unsigned>(std::popcount(B));
+    if (High >= Limit)
+      return false;
+  }
+  return true;
+}
+
+bool WorkGraph::georgeWitnessesEmpty(unsigned CU, unsigned CV) const {
+  assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
+  const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
+  for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
+    uint64_t B = RU[W] & SigWords[W] & ~RV[W];
+    if ((CV >> 6) == W)
+      B &= ~(uint64_t(1) << (CV & 63));
+    if (B)
+      return false;
+  }
+  return true;
+}
+
 bool WorkGraph::briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
                                                 unsigned Limit) const {
   assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
@@ -287,37 +354,6 @@ bool WorkGraph::georgeWitnessesEmptySparseTiled(unsigned CU,
     }
   }
   return true;
-}
-
-void WorkGraph::appendBriggsHighDegree(unsigned CU, unsigned CV,
-                                       std::vector<unsigned> &Out) const {
-  assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-  const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-  for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-    // Significant neighbors of the union, minus commons at exactly K
-    // (corrected below the bar by the merge).
-    uint64_t B = (RU[W] | RV[W]) & SigWords[W] & ~(RU[W] & RV[W] &
-                                                   ExactKWords[W]);
-    if ((CU >> 6) == W)
-      B &= ~(uint64_t(1) << (CU & 63));
-    if ((CV >> 6) == W)
-      B &= ~(uint64_t(1) << (CV & 63));
-    for (; B; B &= B - 1)
-      Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
-  }
-}
-
-void WorkGraph::appendGeorgeWitnesses(unsigned CU, unsigned CV,
-                                      std::vector<unsigned> &Out) const {
-  assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-  const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-  for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-    uint64_t B = RU[W] & SigWords[W] & ~RV[W];
-    if ((CV >> 6) == W)
-      B &= ~(uint64_t(1) << (CV & 63));
-    for (; B; B &= B - 1)
-      Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
-  }
 }
 
 void WorkGraph::briggsWatchWords(unsigned CU, unsigned CV,

@@ -72,12 +72,11 @@ namespace rc {
 /// are named by a representative original vertex.
 class WorkGraph {
 public:
-  /// Largest vertex count for which the dense class-pair bit rows are
-  /// kept. 4096 vertices cost two megabytes of matrix.
-  static constexpr unsigned DefaultDenseThreshold = 4096;
-
+  /// Keeps the dense class-pair bit rows up to \p DenseThreshold vertices
+  /// (4096 vertices cost two megabytes of matrix) — the same switch point
+  /// as Graph's own adjacency.
   explicit WorkGraph(const Graph &G,
-                     unsigned DenseThreshold = DefaultDenseThreshold);
+                     unsigned DenseThreshold = Graph::DefaultDenseThreshold);
 
   WorkGraph(const WorkGraph &) = default;
   WorkGraph &operator=(const WorkGraph &) = delete;
@@ -152,9 +151,9 @@ public:
   /// Starts maintaining significance state for \p K: bit masks of the
   /// significant (degree >= \p K) and exactly-K classes in both adjacency
   /// modes, plus, in sparse mode, a per-class count of significant
-  /// neighbors. The cache is
-  /// updated inside merge() and its undo, so briggsTest/georgeTest read
-  /// masked popcounts (or counters) instead of probing neighbor sets. Must not be enabled while
+  /// neighbors. The cache is updated inside merge() and its undo, so
+  /// briggsSafe/georgeSafe read masked popcounts (or counters) instead of
+  /// probing neighbor sets. Must not be enabled while
   /// merges that predate the call are still subject to rollback (enable
   /// right after construction, or after the last checkpoint that could
   /// unwind earlier merges has been committed). Re-enabling with a
@@ -180,94 +179,46 @@ public:
     return S;
   }
 
-  /// Dense mode with an enabled cache: true iff the Briggs high-degree
-  /// count for a merge of \p CU and \p CV stays below \p Limit. The count
-  /// is one fused sweep — significant neighbors of the union minus commons
-  /// at exactly K, which drop below the bar when the merge takes their
-  /// shared neighbor (the exactly-K mask is a subset of the significance
-  /// mask, so the subtraction is exact). Adjacent endpoints count
-  /// themselves when significant; callers fold the correction into
-  /// \p Limit. Aborts as soon as the count reaches \p Limit.
-  bool briggsHighDegreeBelow(unsigned CU, unsigned CV,
-                             unsigned Limit) const {
-    assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-    const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-    unsigned High = 0;
-    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-      uint64_t B = (RU[W] | RV[W]) & SigWords[W] &
-                   ~(RU[W] & RV[W] & ExactKWords[W]);
-      High += static_cast<unsigned>(std::popcount(B));
-      if (High >= Limit)
-        return false;
-    }
-    return true;
-  }
+  /// Briggs' test for merging classes \p CU and \p CV (representatives)
+  /// at the cache K: true iff fewer than K neighbor classes of the merged
+  /// class keep degree >= K. A common neighbor loses one degree in the
+  /// merge and is counted once; the endpoints themselves are never
+  /// counted. Requires an enabled cache. Dense mode answers with one
+  /// masked word sweep; sparse mode passes for free when the two classes'
+  /// significant-neighbor counters sum below K, and otherwise sweeps the
+  /// tiled rows when both classes have them (see tileRowReady) or
+  /// merge-walks the sorted rows. Every path gives the same answer.
+  bool briggsSafe(unsigned CU, unsigned CV) const;
 
-  /// Dense mode with an enabled cache: true iff the George test passes for
-  /// merging \p CU into \p CV — no significant neighbor of \p CU (other
-  /// than \p CV itself) lies outside \p CV's neighborhood. Early-exits on
-  /// the first word holding a witness.
-  bool georgeWitnessesEmpty(unsigned CU, unsigned CV) const {
-    assert(Dense && CacheK && "needs dense adjacency and an enabled cache");
-    const uint64_t *RU = ClassEdges.row(CU), *RV = ClassEdges.row(CV);
-    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W) {
-      uint64_t B = RU[W] & SigWords[W] & ~RV[W];
-      if ((CV >> 6) == W)
-        B &= ~(uint64_t(1) << (CV & 63));
-      if (B)
-        return false;
-    }
-    return true;
-  }
+  /// George's test for merging class \p CU into \p CV at the cache K:
+  /// true iff every significant neighbor class of \p CU other than \p CV
+  /// is adjacent to \p CV. Asymmetric. Requires an enabled cache; same
+  /// representation dispatch as briggsSafe, with a free sparse pass when
+  /// \p CU has no significant neighbor besides \p CV.
+  bool georgeSafe(unsigned CU, unsigned CV) const;
 
-  /// Sparse mode with an enabled cache: true iff the Briggs high-degree
-  /// count for a merge of \p CU and \p CV stays below \p Limit. The
-  /// endpoints themselves are skipped (walk semantics), so no limit
-  /// correction is needed. Aborts as soon as the count reaches \p Limit.
-  ///
-  /// Dispatches to the tiled popcount sweep when both classes have (or
-  /// clear the degree threshold for lazily building) tiled bit rows, and
-  /// to the sorted-row merge-walk otherwise; the two are decision-identical
-  /// (sparse-tiled-parity fuzz property).
-  bool briggsHighDegreeBelowSparse(unsigned CU, unsigned CV,
-                                   unsigned Limit) const {
-    assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-    if (tileRowReady(CU) && tileRowReady(CV))
-      return briggsHighDegreeBelowSparseTiled(CU, CV, Limit);
-    return briggsHighDegreeBelowSparseWalk(CU, CV, Limit);
-  }
-
-  /// Sparse mode with an enabled cache: true iff the George test passes
-  /// for merging \p CU into \p CV — no significant neighbor of \p CU
-  /// (other than \p CV itself) lies outside \p CV's neighborhood. Same
-  /// tiled-vs-walk dispatch as briggsHighDegreeBelowSparse.
-  bool georgeWitnessesEmptySparse(unsigned CU, unsigned CV) const {
-    assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-    if (tileRowReady(CU) && tileRowReady(CV))
-      return georgeWitnessesEmptySparseTiled(CU, CV);
-    return georgeWitnessesEmptySparseWalk(CU, CV);
-  }
-
-  /// The reference sorted-row scan behind briggsHighDegreeBelowSparse: one
-  /// merge-walk over both endpoints' rows, so common neighbors fall out of
-  /// the comparison instead of costing a binary search each; significance
-  /// and exactly-K come from the threshold masks the degree cache
-  /// maintains in both modes. Public so the parity fuzz property can pit it
-  /// against the tiled sweep directly.
+  /// Sparse cached mode: true iff the Briggs high-degree count for a merge
+  /// of \p CU and \p CV stays below \p Limit, by one merge-walk over both
+  /// endpoints' sorted rows — common neighbors fall out of the comparison
+  /// instead of costing a binary search each; significance and exactly-K
+  /// come from the threshold masks the degree cache maintains in both
+  /// modes. The endpoints are skipped. Aborts as soon as the count reaches
+  /// \p Limit. briggsSafe's untiled sparse path; public, with an explicit
+  /// limit, so the parity fuzz property can pit it against the tiled sweep.
   bool briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
                                        unsigned Limit) const;
 
-  /// The reference scan behind georgeWitnessesEmptySparse: walks \p CU's
-  /// row and probes \p CV's sorted row with a resumable forward cursor
-  /// per significant neighbor.
+  /// Sparse cached mode: true iff the George test passes for merging \p CU
+  /// into \p CV, by walking \p CU's row and probing \p CV's sorted row with
+  /// a resumable forward cursor per significant neighbor. georgeSafe's
+  /// untiled sparse path; public for the parity fuzz property.
   bool georgeWitnessesEmptySparseWalk(unsigned CU, unsigned CV) const;
 
   /// Sparse cached mode: appends the Briggs blockers for a merge of \p CU
   /// and \p CV — the neighbor classes still significant after the merge —
-  /// in the legacy walk order (\p CU's row first, then \p CV's exclusive
-  /// neighbors). One merge-walk over the two sorted rows with bit-mask
-  /// significance probes; replaces the uncached walk's binary search per
-  /// neighbor when the watch set of a rejected affinity is collected.
+  /// \p CU's row first, then \p CV's exclusive neighbors. One merge-walk
+  /// over the two sorted rows with bit-mask significance probes; the
+  /// conservative driver's sparse watch set for a rejected affinity.
   void appendBriggsHighDegreeSparse(unsigned CU, unsigned CV,
                                     std::vector<unsigned> &Out) const;
 
@@ -279,7 +230,7 @@ public:
 
   /// Tiled Briggs sweep (both classes' tile rows must be built, see
   /// tileRowReady): a merge-walk over the two sorted tile lists computing
-  /// the same fused word formula as the dense briggsHighDegreeBelow —
+  /// the same fused word formula as the dense sweep —
   /// significant union minus commons at exactly K — with the endpoint bits
   /// masked out to match the walk's skip-endpoints semantics.
   bool briggsHighDegreeBelowSparseTiled(unsigned CU, unsigned CV,
@@ -324,21 +275,6 @@ public:
   /// future lazy builds — call before the tests run.
   void setTileMinDegree(unsigned MinDegree) { TileMinDegree = MinDegree; }
 
-  /// Dense mode with an enabled cache: appends to \p Out the classes the
-  /// Briggs test counts as high-degree for a merge of \p CU and \p CV —
-  /// neighbors of either class whose merge-corrected degree is >= K
-  /// (commons at exactly K drop below the bar; the endpoints themselves
-  /// are never listed). One masked word sweep.
-  void appendBriggsHighDegree(unsigned CU, unsigned CV,
-                              std::vector<unsigned> &Out) const;
-
-  /// Dense mode with an enabled cache: appends to \p Out the George test's
-  /// witnesses against merging \p CU into \p CV — significant neighbors of
-  /// \p CU that are not adjacent to \p CV (excluding \p CV itself). One
-  /// masked word sweep.
-  void appendGeorgeWitnesses(unsigned CU, unsigned CV,
-                             std::vector<unsigned> &Out) const;
-
   /// Dense mode: number of 64-bit words in a class bitmask row (for
   /// callers holding watch sets as masks).
   unsigned maskWords() const {
@@ -346,11 +282,13 @@ public:
     return ClassEdges.wordsPerRow();
   }
 
-  /// Mask forms of the two watch-set sweeps above: OR the same class sets
-  /// into \p Out (maskWords() words) without materializing class ids —
-  /// O(words) stores instead of one push per blocker. Unlike the append
-  /// forms, the endpoint bits are not masked out; callers watch the
-  /// endpoints anyway.
+  /// Dense mode with an enabled cache: OR the Briggs blockers (the
+  /// neighbor classes still significant after a merge of \p CU and \p CV)
+  /// resp. the George witnesses against merging \p CU into \p CV into
+  /// \p Out (maskWords() words) — the dense counterparts of the append
+  /// forms above, without materializing class ids: O(words) stores
+  /// instead of one push per blocker. Unlike the append forms, the
+  /// endpoint bits are not masked out; callers watch the endpoints anyway.
   void briggsWatchWords(unsigned CU, unsigned CV, uint64_t *Out) const;
   void georgeWatchWords(unsigned CU, unsigned CV, uint64_t *Out) const;
 
@@ -467,6 +405,21 @@ private:
 
   void undoMerge(MergeRecord &Rec);
 
+  /// Dense mode with an enabled cache: true iff the Briggs high-degree
+  /// count for a merge of \p CU and \p CV stays below \p Limit. The count
+  /// is one fused sweep — significant neighbors of the union minus commons
+  /// at exactly K, which drop below the bar when the merge takes their
+  /// shared neighbor (the exactly-K mask is a subset of the significance
+  /// mask, so the subtraction is exact). Adjacent endpoints count
+  /// themselves when significant; briggsSafe folds the correction into
+  /// \p Limit. Aborts as soon as the count reaches \p Limit.
+  bool briggsHighDegreeBelow(unsigned CU, unsigned CV, unsigned Limit) const;
+
+  /// Dense mode with an enabled cache: true iff no significant neighbor of
+  /// \p CU (other than \p CV itself) lies outside \p CV's neighborhood.
+  /// Early-exits on the first word holding a witness.
+  bool georgeWitnessesEmpty(unsigned CU, unsigned CV) const;
+
   /// Class degree through the mode-appropriate representation.
   unsigned classDegree(unsigned C) const {
     return Dense ? Deg[C] : ClassArena.rowSize(C);
@@ -548,8 +501,8 @@ private:
   std::vector<uint64_t> SigWords;
   std::vector<uint64_t> ExactKWords;
   /// appendBriggsHighDegreeSparse: holds \p CV's exclusive blockers during
-  /// the merge-walk so they can follow \p CU's in legacy walk order
-  /// without a per-call allocation.
+  /// the merge-walk so they can follow \p CU's without a per-call
+  /// allocation.
   mutable std::vector<unsigned> ScratchList;
   /// mergedQuotientGreedyKColorable scratch, sized once per engine.
   /// LocalSeen and LocalIn are class bit masks: classified, and in the

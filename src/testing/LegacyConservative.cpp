@@ -38,6 +38,9 @@ testing::conservativeCoalesceLegacy(const CoalescingProblem &P,
   WorkGraph WG(P.G);
   WG.attachTelemetry(Telemetry);
   WG.setCancelToken(Cancel);
+  // The safety tests read the degree cache, as in the worklist driver;
+  // brute-force probes roll back only their own merge.
+  WG.enableDegreeCache(P.K);
   std::vector<unsigned> Order(P.Affinities.size());
   std::iota(Order.begin(), Order.end(), 0u);
   std::stable_sort(Order.begin(), Order.end(), [&P](unsigned A, unsigned B) {

@@ -688,36 +688,64 @@ bool testing::checkWorkGraphRollback(const Graph &G, unsigned Steps,
   return true;
 }
 
+bool testing::briggsOnQuotient(const Graph &Quotient, unsigned U, unsigned V,
+                               unsigned K) {
+  unsigned High = 0;
+  for (unsigned X : Quotient.neighbors(U))
+    if (X != V && Quotient.degree(X) - Quotient.hasEdge(V, X) >= K)
+      ++High;
+  for (unsigned X : Quotient.neighbors(V))
+    if (X != U && !Quotient.hasEdge(U, X) && Quotient.degree(X) >= K)
+      ++High;
+  return High < K;
+}
+
+bool testing::georgeOnQuotient(const Graph &Quotient, unsigned U, unsigned V,
+                               unsigned K) {
+  for (unsigned X : Quotient.neighbors(U))
+    if (X != V && Quotient.degree(X) >= K && !Quotient.hasEdge(V, X))
+      return false;
+  return true;
+}
+
 bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
                                      unsigned Steps, Rng &Rand,
                                      std::string *Error) {
   const unsigned N = G.numVertices();
   if (N < 2 || K == 0)
     return true;
-  // Two forced-sparse engines run the same script: Tiled answers every
-  // cached test through the tile sweeps, Walk never tiles. Decisions must
-  // match at every step, for the dispatching entry points and for the Walk
-  // and Tiled implementations pitted directly against each other on the
-  // tiled engine (same rows, two scan strategies).
+  // Three engines run the same script: Tiled answers every sparse sweep
+  // through the tiles, Walk never tiles, Dense uses the bit rows. Class
+  // representatives do not depend on the representation, so one class
+  // pair names the same merge in all three.
   WorkGraph Tiled(G, /*DenseThreshold=*/0);
   WorkGraph Walk(G, /*DenseThreshold=*/0);
+  WorkGraph Dense(G, /*DenseThreshold=*/N);
   Tiled.setTileMinDegree(0);
   Walk.setTileMinDegree(~0u);
-  Tiled.enableDegreeCache(K);
-  Walk.enableDegreeCache(K);
+  WorkGraph *Engines[] = {&Tiled, &Walk, &Dense};
+  const char *Names[] = {"tiled", "walk", "dense"};
+  for (WorkGraph *WG : Engines)
+    WG->enableDegreeCache(K);
 
   unsigned OpenCheckpoints = 0;
   auto compareTests = [&](unsigned Step) -> bool {
+    // The reference reads nothing but the quotient graph.
+    const Graph Quotient = Tiled.quotientGraph();
+    const std::vector<unsigned> Id = Tiled.solution().ClassIds;
     for (unsigned Probe = 0; Probe < 8; ++Probe) {
       unsigned CU = Tiled.classOf(static_cast<unsigned>(Rand.nextBelow(N)));
       unsigned CV = Tiled.classOf(static_cast<unsigned>(Rand.nextBelow(N)));
       if (CU == CV)
         continue;
       // Limits bracketing K exercise both the early-exit and the
-      // full-sweep paths of the Briggs count.
+      // full-sweep paths of the Briggs count. Tile minimum degree 0 builds
+      // every row Tiled is asked about.
       unsigned Limit = 1 + static_cast<unsigned>(Rand.nextBelow(K + 2));
-      bool TiledSays = Tiled.briggsHighDegreeBelowSparse(CU, CV, Limit);
-      bool WalkSays = Walk.briggsHighDegreeBelowSparse(CU, CV, Limit);
+      if (!Tiled.tileRowReady(CU) || !Tiled.tileRowReady(CV))
+        return fail(Error, "sparse-tiled-parity: tile row not built");
+      bool TiledSays = Tiled.briggsHighDegreeBelowSparseTiled(CU, CV, Limit);
+      bool WalkSays = Walk.briggsHighDegreeBelowSparseWalk(CU, CV, Limit);
       bool WalkOnTiled = Tiled.briggsHighDegreeBelowSparseWalk(CU, CV, Limit);
       if (TiledSays != WalkSays || TiledSays != WalkOnTiled) {
         std::ostringstream OS;
@@ -726,8 +754,8 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
            << " walk=" << WalkSays << " walk-on-tiled=" << WalkOnTiled;
         return fail(Error, OS.str());
       }
-      bool TiledGeorge = Tiled.georgeWitnessesEmptySparse(CU, CV);
-      bool WalkGeorge = Walk.georgeWitnessesEmptySparse(CU, CV);
+      bool TiledGeorge = Tiled.georgeWitnessesEmptySparseTiled(CU, CV);
+      bool WalkGeorge = Walk.georgeWitnessesEmptySparseWalk(CU, CV);
       bool WalkGeorgeOnTiled = Tiled.georgeWitnessesEmptySparseWalk(CU, CV);
       if (TiledGeorge != WalkGeorge || TiledGeorge != WalkGeorgeOnTiled) {
         std::ostringstream OS;
@@ -736,14 +764,28 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
            << " walk-on-tiled=" << WalkGeorgeOnTiled;
         return fail(Error, OS.str());
       }
+      bool RefBriggs = briggsOnQuotient(Quotient, Id[CU], Id[CV], K);
+      bool RefGeorge = georgeOnQuotient(Quotient, Id[CU], Id[CV], K);
+      for (unsigned E = 0; E < 3; ++E) {
+        bool Briggs = Engines[E]->briggsSafe(CU, CV);
+        bool George = Engines[E]->georgeSafe(CU, CV);
+        if (Briggs != RefBriggs || George != RefGeorge) {
+          std::ostringstream OS;
+          OS << "sparse-tiled-parity: step " << Step << ": " << Names[E]
+             << " engine on (" << CU << "," << CV << ") says briggs="
+             << Briggs << " george=" << George << ", the quotient says "
+             << RefBriggs << "/" << RefGeorge;
+          return fail(Error, OS.str());
+        }
+      }
     }
     return true;
   };
 
   for (unsigned Step = 0; Step < Steps; ++Step) {
     if (OpenCheckpoints && Rand.nextBelow(5) == 0) {
-      Tiled.rollback();
-      Walk.rollback();
+      for (WorkGraph *WG : Engines)
+        WG->rollback();
       --OpenCheckpoints;
       if (!compareTests(Step))
         return false;
@@ -756,14 +798,18 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
         return false;
       continue;
     }
-    if (Rand.nextBelow(3) == 0) {
-      Tiled.checkpoint();
-      Walk.checkpoint();
+    bool Checkpoint = Rand.nextBelow(3) == 0;
+    if (Checkpoint)
       ++OpenCheckpoints;
+    for (WorkGraph *WG : Engines) {
+      if (Checkpoint)
+        WG->checkpoint();
+      WG->merge(U, V);
     }
-    Tiled.merge(U, V);
-    Walk.merge(U, V);
-    if (Tiled.solution().ClassIds != Walk.solution().ClassIds)
+    std::vector<unsigned> Ids = Tiled.solution().ClassIds;
+    if (Ids != Walk.solution().ClassIds || Ids != Dense.solution().ClassIds ||
+        Tiled.classOf(U) != Walk.classOf(U) ||
+        Tiled.classOf(U) != Dense.classOf(U))
       return fail(Error, "sparse-tiled-parity: partitions diverged after a "
                          "mirrored merge");
     if (!compareTests(Step))
@@ -773,8 +819,8 @@ bool testing::checkSparseTiledParity(const Graph &G, unsigned K,
   // Unwind whatever is still open; frozen dead-loser tiles must revive
   // exactly.
   while (OpenCheckpoints) {
-    Tiled.rollback();
-    Walk.rollback();
+    for (WorkGraph *WG : Engines)
+      WG->rollback();
     --OpenCheckpoints;
     if (!compareTests(Steps))
       return false;

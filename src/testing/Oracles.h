@@ -113,6 +113,24 @@ constexpr size_t BruteForceAffinityLimit = 14;
 /// feasible in all three.
 BruteForceOptima bruteForceOptima(const CoalescingProblem &P);
 
+/// The textbook Briggs rule on a plain graph — the reference for the
+/// engine's cached test (WorkGraph::briggsSafe): merging vertices \p U and
+/// \p V of \p Quotient is safe iff fewer than \p K neighbors of the merged
+/// vertex have degree >= \p K afterwards. A common neighbor of \p U and
+/// \p V loses one degree in the merge; \p U and \p V themselves are never
+/// counted. \p Quotient is typically WorkGraph::quotientGraph(), with \p U
+/// and \p V the class ids WorkGraph::solution() assigns; no engine state is
+/// read.
+bool briggsOnQuotient(const Graph &Quotient, unsigned U, unsigned V,
+                      unsigned K);
+
+/// The textbook George rule on a plain graph — the reference for
+/// WorkGraph::georgeSafe: merging \p U into \p V is safe iff every
+/// neighbor of \p U other than \p V with degree >= \p K is a neighbor of
+/// \p V. Asymmetric.
+bool georgeOnQuotient(const Graph &Quotient, unsigned U, unsigned V,
+                      unsigned K);
+
 /// Oracle 7. Cross-checks the exact optimal baselines on instances of at
 /// most 12 vertices and BruteForceAffinityLimit affinities:
 /// exactCoalesceSearch (unlimited) must reach the bruteForceOptima optimum
@@ -144,15 +162,16 @@ bool checkWorkGraphIncremental(const Graph &G, unsigned Steps, Rng &Rand,
 bool checkWorkGraphRollback(const Graph &G, unsigned Steps, Rng &Rand,
                             std::string *Error);
 
-/// Oracle 7. Drives two forced-sparse WorkGraphs with degree caches — one
-/// tiling every class row (setTileMinDegree(0)), one never tiling
-/// (setTileMinDegree(~0u)) — through the same \p Steps random checkpoint /
-/// merge / rollback script at pressure \p K, and checks that the tiled
-/// popcount sweeps and the sorted-row merge-walks return identical
-/// briggsHighDegreeBelowSparse / georgeWitnessesEmptySparse decisions for
-/// random class pairs across a spread of limits, both through the
-/// dispatching entry points and by pitting the Walk and Tiled
-/// implementations directly against each other on the tiled graph.
+/// Oracle 7. Drives three WorkGraphs with degree caches at pressure \p K
+/// through the same \p Steps random checkpoint / merge / rollback script:
+/// a forced-sparse one tiling every class row (setTileMinDegree(0)), a
+/// forced-sparse one never tiling (setTileMinDegree(~0u)), and a
+/// forced-dense one. For random class pairs it checks that (a) the tiled
+/// popcount sweeps and the sorted-row merge-walks return identical Briggs
+/// (across a spread of limits) and George decisions, pitted directly
+/// against each other on both sparse engines, and (b) briggsSafe and
+/// georgeSafe on all three engines match the textbook rules
+/// (briggsOnQuotient / georgeOnQuotient) on the current quotient graph.
 bool checkSparseTiledParity(const Graph &G, unsigned K, unsigned Steps,
                             Rng &Rand, std::string *Error);
 

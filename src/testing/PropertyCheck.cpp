@@ -580,8 +580,9 @@ const std::vector<Property> &testing::allProperties() {
 
     Props.push_back(
         {"sparse-tiled-parity",
-         "tiled sparse bit-row Briggs/George sweeps are decision-identical "
-         "to the sorted-row merge-walks through merges and rollbacks",
+         "tiled and walked sparse Briggs/George sweeps agree, and dense and "
+         "sparse briggsSafe/georgeSafe match the textbook rules on the "
+         "quotient, through merges and rollbacks",
          [](Rng &Rand, const FuzzConfig &Config, uint64_t Trial) {
            CoalescingProblem P =
                generateTiledParityInstance(Rand, Config.MaxSize);

@@ -82,6 +82,16 @@ TEST(ChallengeFormatTest, ParseErrors) {
   std::istringstream SelfLoop("n 2\ne 1 1\n");
   EXPECT_FALSE(readChallenge(SelfLoop, P, &Error));
 
+  std::istringstream ZeroK("n 2\nk 0\ne 0 1\n");
+  EXPECT_FALSE(readChallenge(ZeroK, P, &Error));
+  EXPECT_NE(Error.find("line 2: register count must be positive"),
+            std::string::npos)
+      << Error;
+
+  std::istringstream NoK("n 2\ne 0 1\n");
+  EXPECT_FALSE(readChallenge(NoK, P, &Error));
+  EXPECT_NE(Error.find("missing 'k' line"), std::string::npos) << Error;
+
   std::istringstream Good("# c\nn 2\nk 2\ne 0 1\na 0 1 2.5\n");
   EXPECT_TRUE(readChallenge(Good, P, &Error)) << Error;
   EXPECT_EQ(P.G.numEdges(), 1u);

@@ -57,6 +57,7 @@ TEST(ConservativeRuleTest, BriggsAcceptsLowDegreeMerge) {
   G.addEdge(0, 2);
   G.addEdge(1, 3);
   WorkGraph WG(G);
+  WG.enableDegreeCache(2);
   EXPECT_TRUE(briggsTest(WG, 0, 1, 2));
 }
 
@@ -68,6 +69,7 @@ TEST(ConservativeRuleTest, BriggsCountsCommonNeighborsOnce) {
   G.addEdge(1, 2);
   G.addEdge(2, 3);
   WorkGraph WG(G);
+  WG.enableDegreeCache(2);
   // k=2: neighbor 2 has degree 3, merged-degree 2 >= 2 -> 1 significant,
   // which is < k, so Briggs accepts.
   EXPECT_TRUE(briggsTest(WG, 0, 1, 2));
@@ -81,6 +83,7 @@ TEST(ConservativeRuleTest, GeorgeSubsumptionCase) {
   G.addEdge(1, 3);
   G.addEdge(1, 4);
   WorkGraph WG(G);
+  WG.enableDegreeCache(2);
   EXPECT_TRUE(georgeTest(WG, 0, 1, 2));
 }
 
@@ -92,10 +95,13 @@ TEST(ConservativeRuleTest, GeorgeRejectsUncoveredHighDegreeNeighbor) {
   G.addEdge(2, 4);
   G.addEdge(2, 5);
   WorkGraph WG(G);
+  WG.enableDegreeCache(2);
   EXPECT_FALSE(georgeTest(WG, 0, 1, 2));
   // Low-degree neighbors are ignored: with k = 4, degree(2) = 4 >= 4, still
   // rejected; with k = 5 accepted.
+  WG.enableDegreeCache(4);
   EXPECT_FALSE(georgeTest(WG, 0, 1, 4));
+  WG.enableDegreeCache(5);
   EXPECT_TRUE(georgeTest(WG, 0, 1, 5));
 }
 
@@ -125,6 +131,7 @@ TEST(ConservativeRuleTest, RulesPreserveGreedyColorability) {
     Graph G = randomGraph(12, 0.3, Rand);
     unsigned K = coloringNumber(G);
     WorkGraph WG(G);
+    WG.enableDegreeCache(K);
     for (unsigned U = 0; U < 12; ++U)
       for (unsigned V = U + 1; V < 12; ++V) {
         if (!WG.canMerge(U, V))
@@ -335,6 +342,7 @@ TEST(ConservativeDriverTest, WorklistReactivatesBriggsRejectedAffinity) {
     // Sanity: the heavy affinity alone is Briggs-rejected, and passes once
     // (x, y) are merged.
     WorkGraph WG(P.G);
+    WG.enableDegreeCache(P.K);
     EXPECT_FALSE(briggsTest(WG, 0, 1, P.K));
     WG.merge(5, 6);
     EXPECT_TRUE(briggsTest(WG, 0, 1, P.K));

@@ -270,6 +270,12 @@ TEST(FormatRoundTripTest, RejectsCorruptInputs) {
     Bad[4] = 99; // version
     rejects(Bad, "unsupported version");
   }
+  {
+    std::string Bad = Good;
+    for (int I = 0; I < 4; ++I)
+      Bad[8 + I] = 0; // k
+    rejects(Bad, "zero register count");
+  }
   rejects(Good.substr(0, 20), "truncated header");
   rejects(Good.substr(0, 36), "truncated edge list");
   rejects(Good.substr(0, Good.size() - 3), "truncated affinity list");

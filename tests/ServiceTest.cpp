@@ -269,6 +269,8 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
       {"missing instance", "rcq 1\nspec briggs\n", "instance"},
       {"malformed instance", "rcq 1\nspec briggs\ninstance\nnot a graph\n",
        "malformed instance"},
+      {"zero registers", "rcq 1\nspec briggs\ninstance\nk 0\nn 2\n",
+       "register count must be positive"},
   };
   for (const Case &C : Cases) {
     WireRequest Request;
@@ -541,6 +543,9 @@ TEST(ServiceLoopTest, MalformedRequestPayloadAnsweredBadRequest) {
   std::vector<LabeledProblem> Corpus = goldenChallengeCorpus();
   std::ostringstream In;
   writeFrame(In, FrameType::Request, "rcq 1\nspec briggs\n"); // No instance.
+  // Zero registers: rejected by the parser, never reaches a strategy.
+  writeFrame(In, FrameType::Request,
+             "rcq 1\nspec briggs\ninstance\nk 0\nn 2\na 0 1 1\n");
   writeFrame(In, FrameType::Request,
              buildRequestPayload(Corpus[0].Problem, "briggs"));
 
@@ -555,10 +560,11 @@ TEST(ServiceLoopTest, MalformedRequestPayloadAnsweredBadRequest) {
       << Error;
 
   std::vector<Frame> Frames = decodeFrames(OS.str());
-  ASSERT_EQ(Frames.size(), 2u);
+  ASSERT_EQ(Frames.size(), 3u);
   EXPECT_EQ(statusOf(Frames[0]), "bad-request");
-  EXPECT_EQ(statusOf(Frames[1]), "ok");
-  EXPECT_EQ(Service.stats().BadRequests, 1u);
+  EXPECT_EQ(statusOf(Frames[1]), "bad-request");
+  EXPECT_EQ(statusOf(Frames[2]), "ok");
+  EXPECT_EQ(Service.stats().BadRequests, 2u);
 }
 
 TEST(ServiceLoopTest, OversizedFramesAnsweredBadRequestAndSkipped) {

@@ -381,29 +381,43 @@ TEST(WorkGraphDegreeCacheTest, SurvivesRandomMergeAndRollbackScripts) {
   }
 }
 
-TEST(WorkGraphDegreeCacheTest, CachedTestsMatchWalkedTests) {
-  // briggsTest/georgeTest take their fast path iff the degree cache is
-  // enabled for the queried k; both paths must agree everywhere.
+TEST(WorkGraphDegreeCacheTest, DenseAndSparseTestsMatchQuotientReference) {
+  // briggsTest/georgeTest answer from the degree cache with whichever
+  // sweep the engine's representation has; a forced-dense and a
+  // forced-sparse engine must both match the textbook rules applied to
+  // the quotient graph alone.
   for (uint64_t Seed : {5u, 31u, 77u}) {
     Rng Rand(Seed);
     Graph G = randomGraph(26, 0.22, Rand);
     unsigned K = 3;
-    WorkGraph Cached(G);
-    Cached.enableDegreeCache(K);
-    WorkGraph Walked(G);
+    WorkGraph Dense(G, /*DenseThreshold=*/26);
+    WorkGraph Sparse(G, /*DenseThreshold=*/0);
+    ASSERT_TRUE(Dense.usesDenseAdjacency());
+    ASSERT_FALSE(Sparse.usesDenseAdjacency());
+    Dense.enableDegreeCache(K);
+    Sparse.enableDegreeCache(K);
     for (int Step = 0; Step < 60; ++Step) {
       unsigned U = static_cast<unsigned>(Rand.nextBelow(26));
       unsigned V = static_cast<unsigned>(Rand.nextBelow(26));
-      if (U == V || Cached.sameClass(U, V))
+      if (U == V || Dense.sameClass(U, V))
         continue;
-      ASSERT_EQ(Cached.degreeCacheK(), K);
-      EXPECT_EQ(briggsTest(Cached, U, V, K), briggsTest(Walked, U, V, K))
-          << "briggs divergence at (" << U << "," << V << ")";
-      EXPECT_EQ(georgeTest(Cached, U, V, K), georgeTest(Walked, U, V, K))
-          << "george divergence at (" << U << "," << V << ")";
-      if (Cached.canMerge(U, V)) {
-        Cached.merge(U, V);
-        Walked.merge(U, V);
+      Graph Q = Dense.quotientGraph();
+      std::vector<unsigned> Id = Dense.solution().ClassIds;
+      bool Briggs = rc::testing::briggsOnQuotient(Q, Id[U], Id[V], K);
+      bool GeorgeUV = rc::testing::georgeOnQuotient(Q, Id[U], Id[V], K);
+      bool GeorgeVU = rc::testing::georgeOnQuotient(Q, Id[V], Id[U], K);
+      for (const WorkGraph *WG : {&Dense, &Sparse}) {
+        const char *Mode = WG == &Dense ? "dense" : "sparse";
+        EXPECT_EQ(briggsTest(*WG, U, V, K), Briggs)
+            << Mode << " briggs divergence at (" << U << "," << V << ")";
+        EXPECT_EQ(georgeTest(*WG, U, V, K), GeorgeUV)
+            << Mode << " george divergence at (" << U << "," << V << ")";
+        EXPECT_EQ(georgeTest(*WG, V, U, K), GeorgeVU)
+            << Mode << " george divergence at (" << V << "," << U << ")";
+      }
+      if (Dense.canMerge(U, V)) {
+        Dense.merge(U, V);
+        Sparse.merge(U, V);
       }
     }
   }
