@@ -126,6 +126,14 @@ bool rc::readChallengeBinaryBuffer(const unsigned char *Data, size_t Size,
     return fail(Error, "unsupported format version " + std::to_string(Version));
   if (K == 0)
     return fail(Error, "register count k must be positive");
+  if (K > MaxChallengeRegisters)
+    return fail(Error, "register count k = " + std::to_string(K) +
+                           " exceeds the limit " +
+                           std::to_string(MaxChallengeRegisters));
+  if (N > MaxChallengeVertices)
+    return fail(Error, "vertex count n = " + std::to_string(N) +
+                           " exceeds the limit " +
+                           std::to_string(MaxChallengeVertices));
   if (!checkHeaderCounts(N, EdgeCount, AffinityCount, Error))
     return false;
   // The overflow checks above make this size arithmetic exact; the whole

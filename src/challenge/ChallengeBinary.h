@@ -15,8 +15,8 @@
 ///   offset  size  field
 ///        0     4  magic "RCBF"
 ///        4     4  format version (currently 1)
-///        8     4  k (register count)
-///       12     4  n (vertex count)
+///        8     4  k (register count, 1..MaxChallengeRegisters)
+///       12     4  n (vertex count, at most MaxChallengeVertices)
 ///       16     8  edge count E
 ///       24     8  affinity count A
 ///       32   8*E  edges: (u32 u, u32 v) with u < v, sorted

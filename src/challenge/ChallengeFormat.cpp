@@ -2,6 +2,8 @@
 
 #include "challenge/ChallengeFormat.h"
 
+#include <cerrno>
+#include <cstdlib>
 #include <sstream>
 
 using namespace rc;
@@ -24,6 +26,41 @@ static bool fail(std::string *Error, const std::string &Message) {
   return false;
 }
 
+bool rc::parseCount(const std::string &Text, uint64_t &Out) {
+  if (Text.empty() ||
+      Text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  errno = 0;
+  unsigned long long Value = std::strtoull(Text.c_str(), nullptr, 10);
+  if (errno == ERANGE)
+    return false;
+  Out = Value;
+  return true;
+}
+
+/// Reads the count after a 'k' or 'n' tag (see parseCount), at most
+/// \p Max. \p What names the count in diagnostics.
+static bool readCount(std::istream &LS, unsigned Max, const char *What,
+                      unsigned &Out, std::string &Message) {
+  std::string Token;
+  uint64_t Value = 0;
+  if (!(LS >> Token)) {
+    Message = std::string("expected ") + What;
+    return false;
+  }
+  if (!parseCount(Token, Value)) {
+    Message = std::string("malformed ") + What + " '" + Token + "'";
+    return false;
+  }
+  if (Value > Max) {
+    Message = std::string(What) + " " + Token + " exceeds the limit " +
+              std::to_string(Max);
+    return false;
+  }
+  Out = static_cast<unsigned>(Value);
+  return true;
+}
+
 bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
                        std::string *Error) {
   P = CoalescingProblem();
@@ -37,16 +74,18 @@ bool rc::readChallenge(std::istream &IS, CoalescingProblem &P,
     if (!(LS >> Tag) || Tag[0] == '#')
       continue;
     auto where = [LineNo] { return "line " + std::to_string(LineNo) + ": "; };
+    std::string Message;
     if (Tag == "k") {
-      if (!(LS >> P.K))
-        return fail(Error, where() + "expected register count after 'k'");
+      if (!readCount(LS, MaxChallengeRegisters, "register count", P.K,
+                     Message))
+        return fail(Error, where() + Message);
       if (P.K == 0)
         return fail(Error, where() + "register count must be positive");
       SawK = true;
     } else if (Tag == "n") {
       unsigned N;
-      if (!(LS >> N))
-        return fail(Error, where() + "expected vertex count after 'n'");
+      if (!readCount(LS, MaxChallengeVertices, "vertex count", N, Message))
+        return fail(Error, where() + Message);
       P.G = Graph(N);
       SawN = true;
     } else if (Tag == "e") {

@@ -3,9 +3,9 @@
 #include "coalescing/ChordalStrategy.h"
 
 #include "coalescing/ChordalIncremental.h"
+#include "coalescing/WorkGraph.h"
 #include "graph/Chordal.h"
 #include "graph/CliqueTree.h"
-#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <numeric>
@@ -26,43 +26,18 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
          "chordal strategy requires k >= omega");
 
   unsigned N = P.G.numVertices();
-  UnionFind Classes(N);
+  // The committed classes. No telemetry is attached: the strategy counts
+  // one attempt per decided affinity and one commit per merged vertex.
+  WorkGraph Classes(P.G);
 
   // Current quotient graph, whose vertices are the dense class ids in
   // DenseIds; its clique tree, built on first use after each commit so
-  // rejected affinities share it; and per class one original vertex and
-  // the class size.
+  // rejected affinities share it; and per class one original vertex.
   Graph Current = P.G;
   std::vector<unsigned> DenseIds(N);
   std::iota(DenseIds.begin(), DenseIds.end(), 0u);
   std::optional<CliqueTree> Tree;
-  std::vector<unsigned> ClassRep = DenseIds, ClassSize(N, 1);
-
-  // Applies the tentative partition when its quotient stays chordal —
-  // guaranteed for gap-free chains (asserted), checked for chains that
-  // threaded a slack slot. Returns false (and leaves the state untouched)
-  // when the merge would break the chordality every later exact decision
-  // depends on.
-  auto tryCommit = [&](UnionFind &&Tentative, bool GapFree) {
-    std::vector<unsigned> Dense = Tentative.denseClassIds();
-    Graph Quotient = P.G.quotient(Dense, Tentative.numClasses());
-    bool Chordal = isChordal(Quotient);
-    assert((Chordal || !GapFree) &&
-           "gap-free chain merge broke chordality, contradicting Theorem 5");
-    (void)GapFree;
-    if (!Chordal)
-      return false;
-    Classes = std::move(Tentative);
-    DenseIds = std::move(Dense);
-    Current = std::move(Quotient);
-    Tree.reset();
-    ClassRep.assign(Classes.numClasses(), ~0u);
-    ClassSize.assign(Classes.numClasses(), 0);
-    for (unsigned V = 0; V < N; ++V)
-      if (ClassSize[DenseIds[V]]++ == 0)
-        ClassRep[DenseIds[V]] = V;
-    return true;
-  };
+  std::vector<unsigned> ClassRep = DenseIds;
 
   auto decide = [&](unsigned X, unsigned Y) {
     if (!Tree)
@@ -101,30 +76,44 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       ++Result.InfeasibleAffinities;
       continue;
     }
-    // Merge the whole chain (it includes X and Y). Its vertices are
-    // current classes; union one original vertex of each.
+    // Merge the whole chain (it includes X and Y) speculatively. Its
+    // vertices are current classes sharing the witness's color, so no two
+    // interfere; merge one original vertex of each.
     const std::vector<unsigned> &Merged = Decision.MergedChain;
     assert(Merged.size() >= 2 && "chain must contain x and y");
-    UnionFind Tentative = Classes;
-    unsigned MergedVertices = 0;
-    for (unsigned Class : Merged) {
-      Tentative.merge(ClassRep[Merged.front()], ClassRep[Class]);
-      MergedVertices += ClassSize[Class];
-    }
-    if (!tryCommit(std::move(Tentative), Decision.GapFree)) {
+    Classes.checkpoint();
+    unsigned Root = ClassRep[Merged.front()];
+    for (size_t I = 1; I < Merged.size(); ++I)
+      Classes.merge(Root, ClassRep[Merged[I]]);
+    // The quotient stays chordal for gap-free chains (asserted) and is
+    // checked for chains that threaded a slack slot.
+    CoalescingSolution Tentative = Classes.solution();
+    Graph Quotient = P.G.quotient(Tentative.ClassIds, Tentative.NumClasses);
+    bool Chordal = isChordal(Quotient);
+    assert((Chordal || !Decision.GapFree) &&
+           "gap-free chain merge broke chordality, contradicting Theorem 5");
+    if (!Chordal) {
       // The chain threads through free color slots and merging its real
       // vertices would break chordality, which every later exact decision
       // depends on. Leave the affinity uncoalesced instead.
+      Classes.rollback();
       ++Result.DeferredGapped;
       continue;
     }
+    Classes.commit();
+    DenseIds = std::move(Tentative.ClassIds);
+    Current = std::move(Quotient);
+    Tree.reset();
+    ClassRep.assign(Tentative.NumClasses, ~0u);
+    for (unsigned V = 0; V < N; ++V)
+      if (ClassRep[DenseIds[V]] == ~0u)
+        ClassRep[DenseIds[V]] = V;
     Result.ChainMerges += static_cast<unsigned>(Merged.size()) - 2;
-    for (unsigned I = 1; I < MergedVertices; ++I)
+    for (size_t I = 1; I < Classes.members(Root).size(); ++I)
       Count(EngineEvent::MergeCommitted);
   }
 
-  Result.Solution.ClassIds = Classes.denseClassIds();
-  Result.Solution.NumClasses = Classes.numClasses();
+  Result.Solution = Classes.solution();
   Result.Stats = evaluateSolution(P, Result.Solution);
   assert(isValidCoalescing(P.G, Result.Solution) &&
          "chordal strategy produced an invalid coalescing");

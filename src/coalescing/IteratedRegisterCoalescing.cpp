@@ -3,15 +3,24 @@
 // Faithful port of the George–Appel worklist pseudocode ("Iterated Register
 // Coalescing", TOPLAS 1996; Appel, "Modern Compiler Implementation").
 //
+// Merges go through the shared WorkGraph engine, which also answers Appel's
+// adjSet membership test. That substitution is exact because IRC only ever
+// asks whether two live nodes (neither Coalesced nor OnStack) interfere,
+// and for live nodes adjSet is class interference. Appel's combine(u, v)
+// adds an edge from u to every live neighbor of v, so every edge between
+// two live nodes' classes reaches their representatives, and edges to
+// nodes already OnStack are never needed again. AdjList and Degree stay
+// IRC's own: AdjList's insertion order drives the simplify order, and
+// Appel's degree leaves out simplified neighbors.
+//
 //===----------------------------------------------------------------------===//
 
 #include "coalescing/IteratedRegisterCoalescing.h"
 
-#include "support/UnionFind.h"
+#include "coalescing/WorkGraph.h"
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 using namespace rc;
 
@@ -22,7 +31,7 @@ public:
   Irc(const CoalescingProblem &P, const IrcOptions &Options,
       CoalescingTelemetry *Telemetry)
       : P(P), Options(Options), Telemetry(Telemetry), K(P.K),
-        N(P.G.numVertices()) {}
+        N(P.G.numVertices()), WG(P.G) {}
 
   IrcResult run();
 
@@ -45,17 +54,18 @@ private:
       N0 = Alias[N0];
     return N0;
   }
-  bool inAdjSet(unsigned U, unsigned V) const {
-    return AdjSet.count(key(U, V)) != 0;
+  bool isLive(unsigned N0) const {
+    return State[N0] != NodeState::OnStack &&
+           State[N0] != NodeState::Coalesced;
   }
-  static uint64_t key(unsigned U, unsigned V) {
-    if (U > V)
-      std::swap(U, V);
-    return (uint64_t(U) << 32) | V;
+  /// Appel's adjSet test, answered by the engine (see the file comment).
+  bool inAdjSet(unsigned U, unsigned V) const {
+    assert(isLive(U) && isLive(V) && "adjSet is only queried for live nodes");
+    return WG.classesAdjacent(WG.classOf(U), WG.classOf(V));
   }
   template <typename Fn> void forEachAdjacent(unsigned N0, Fn &&F) const {
     for (unsigned W : AdjList[N0])
-      if (State[W] != NodeState::OnStack && State[W] != NodeState::Coalesced)
+      if (isLive(W))
         F(W);
   }
   bool moveRelated(unsigned N0) const {
@@ -96,12 +106,14 @@ private:
   CoalescingTelemetry *Telemetry;
   unsigned K;
   unsigned N;
+  /// The coalesced classes; no telemetry attached, IRC counts its own
+  /// events.
+  WorkGraph WG;
 
   std::vector<NodeState> State;
   std::vector<unsigned> Alias;
   std::vector<unsigned> Degree;
   std::vector<std::vector<unsigned>> AdjList;
-  std::unordered_set<uint64_t> AdjSet;
   std::vector<std::vector<unsigned>> MoveList; // Move indices per node.
   std::vector<MoveState> MState;
 
@@ -128,8 +140,12 @@ void Irc::build() {
 
   for (unsigned U = 0; U < N; ++U)
     for (unsigned V : P.G.neighbors(U))
-      if (V > U)
-        addEdge(U, V);
+      if (V > U) {
+        AdjList[U].push_back(V);
+        AdjList[V].push_back(U);
+        ++Degree[U];
+        ++Degree[V];
+      }
 
   // Moves in decreasing weight order so Coalesce prefers expensive moves.
   std::vector<unsigned> Order(P.Affinities.size());
@@ -150,7 +166,6 @@ void Irc::build() {
 void Irc::addEdge(unsigned U, unsigned V) {
   if (U == V || inAdjSet(U, V))
     return;
-  AdjSet.insert(key(U, V));
   AdjList[U].push_back(V);
   AdjList[V].push_back(U);
   ++Degree[U];
@@ -324,6 +339,8 @@ void Irc::combine(unsigned U, unsigned V) {
     addEdge(T, U);
     decrementDegree(T);
   });
+  // After the loop, so addEdge's dedupe sees the classes before the merge.
+  WG.merge(U, V);
   if (Degree[U] >= K && State[U] == NodeState::FreezeWL) {
     removeFromWorklist(U);
     State[U] = NodeState::SpillWL;
@@ -441,15 +458,9 @@ IrcResult Irc::run() {
 
   IrcResult Result;
   Result.Colors = Colors;
-
-  // Partition: alias classes. A coalesced class containing a spilled root
-  // stays merged for reporting purposes.
-  UnionFind UF(N);
-  for (unsigned V = 0; V < N; ++V)
-    if (State[V] == NodeState::Coalesced)
-      UF.merge(V, getAlias(V));
-  Result.Solution.ClassIds = UF.denseClassIds();
-  Result.Solution.NumClasses = UF.numClasses();
+  // A coalesced class containing a spilled root stays merged for
+  // reporting purposes.
+  Result.Solution = WG.solution();
   Result.Stats = evaluateSolution(P, Result.Solution);
   Result.Spilled = SpilledNodes;
   for (MoveState S : MState) {

@@ -457,8 +457,8 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
   if (Cancel)
     Cancel->poll();
   unsigned CU = Rep[U], CV = Rep[V];
-  // Union by rank, replicating support/UnionFind::merge(CU, CV): the higher
-  // rank wins; on a tie the first argument wins and its rank is bumped.
+  // Union by rank: the higher rank wins; on a tie the first argument wins
+  // and its rank is bumped.
   unsigned Root = Rank[CU] >= Rank[CV] ? CU : CV;
   unsigned Loser = Root == CU ? CV : CU;
   bool RankBumped = Rank[Root] == Rank[Loser];
@@ -773,8 +773,7 @@ CoalescingSolution WorkGraph::solution() const {
   unsigned N = numOriginalVertices();
   CoalescingSolution S;
   S.ClassIds.assign(N, 0);
-  // Dense ids in order of first appearance by vertex id, matching
-  // UnionFind::denseClassIds.
+  // Dense ids in order of first appearance by vertex id.
   std::vector<unsigned> DenseId(N, ~0u);
   unsigned Next = 0;
   for (unsigned V = 0; V < N; ++V) {

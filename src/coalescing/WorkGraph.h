@@ -6,10 +6,14 @@
 ///
 /// \file
 /// A dynamic view of an interference graph under coalescing merges: classes
-/// of merged vertices with class-level adjacency. All coalescing heuristics
-/// (aggressive, conservative rules, optimistic de-coalescing, exact
-/// searches) operate on one WorkGraph — this is the shared merge engine the
-/// Appel–George comparison pays for uniformly.
+/// of merged vertices with class-level adjacency. Every coalescer that
+/// merges (aggressive, the conservative rules, optimistic de-coalescing,
+/// iterated register coalescing, the Theorem 5 chain driver, node merging,
+/// the exact searches) keeps its classes in one WorkGraph — this is the
+/// shared merge engine the Appel–George comparison pays for uniformly. IRC
+/// asks it only for class interference and the final partition; its
+/// degrees and Briggs/George tests follow Appel's own bookkeeping (see
+/// IteratedRegisterCoalescing.cpp).
 ///
 /// Engine features:
 ///  - Hybrid adjacency. Below a size threshold (dense mode; 4096 vertices
@@ -44,10 +48,10 @@
 ///    per committed merge, the set of classes the merge touched (the
 ///    incremental conservative driver's reactivation source).
 ///
-/// Class representatives follow the historical union-by-rank policy of
-/// support/UnionFind (higher rank wins; ties keep the first argument and
-/// bump its rank), so partitions — and rep-order-sensitive tie-breaks in
-/// drivers — are bit-compatible with the previous implementation.
+/// Class representatives follow union by rank (higher rank wins; ties keep
+/// the first argument and bump its rank), so a partition's representatives
+/// — and rep-order-sensitive tie-breaks in drivers — depend only on the
+/// merge sequence.
 ///
 //===----------------------------------------------------------------------===//
 

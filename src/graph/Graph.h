@@ -110,14 +110,6 @@ public:
     return DenseMode ? VertexSpan(Adj[V]) : Sparse.row(V);
   }
 
-  /// Read access to the triangular edge bit matrix (e.g. to seed the dense
-  /// adjacency mode of coalescing/WorkGraph without re-inserting edges).
-  /// Dense mode only.
-  const BitMatrix &edgeMatrix() const {
-    assert(DenseMode && "no bit matrix in sparse mode");
-    return Edges;
-  }
-
   /// Adds all edges among \p Vertices, turning them into a clique.
   void addClique(const std::vector<unsigned> &Vertices);
 

@@ -3,9 +3,11 @@
 #include "runner/SweepManifest.h"
 
 #include "challenge/ChallengeBinary.h"
+#include "challenge/ChallengeFormat.h"
 #include "challenge/ChallengeInstance.h"
 #include "support/Random.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -48,6 +50,16 @@ static bool splitKeyValue(const std::string &Token, std::string &Key,
   return !Value.empty();
 }
 
+/// Parses a count value (see parseCount) of at most \p Max into \p Out.
+template <typename T>
+static bool parseCountField(const std::string &Value, uint64_t Max, T &Out) {
+  uint64_t Count = 0;
+  if (!parseCount(Value, Count) || Count > Max)
+    return false;
+  Out = static_cast<T>(Count);
+  return true;
+}
+
 static bool parseEntry(const std::string &Line, unsigned LineNo,
                        SweepEntry &Entry, std::string *Error) {
   std::istringstream Tokens(Line);
@@ -80,24 +92,24 @@ static bool parseEntry(const std::string &Line, unsigned LineNo,
     std::string Key, Value;
     if (!splitKeyValue(Token, Key, Value))
       return fail(Error, where() + "expected key=value, got '" + Token + "'");
-    char *End = nullptr;
+    bool Ok = false;
     if (Key == "seed") {
-      Entry.Seed = std::strtoull(Value.c_str(), &End, 10);
+      Ok = parseCountField(Value, UINT64_MAX, Entry.Seed);
     } else if (Key == "n" && Entry.K == SweepEntry::Kind::Subtree) {
-      Entry.N = static_cast<unsigned>(std::strtoul(Value.c_str(), &End, 10));
+      Ok = parseCountField(Value, MaxChallengeVertices, Entry.N);
     } else if (Key == "blocks" && Entry.K == SweepEntry::Kind::Program) {
-      Entry.Blocks =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), &End, 10));
+      Ok = parseCountField(Value, UINT32_MAX, Entry.Blocks);
     } else if (Key == "slack") {
-      Entry.Slack =
-          static_cast<unsigned>(std::strtoul(Value.c_str(), &End, 10));
+      Ok = parseCountField(Value, MaxChallengeRegisters, Entry.Slack);
     } else if (Key == "affinity" && Entry.K == SweepEntry::Kind::Subtree) {
+      char *End = nullptr;
       Entry.Affinity = std::strtod(Value.c_str(), &End);
+      Ok = *End == '\0';
     } else {
       return fail(Error,
                   where() + "unknown key '" + Key + "' for " + Kind);
     }
-    if (!End || *End != '\0')
+    if (!Ok)
       return fail(Error, where() + "malformed value in '" + Token + "'");
   }
   if (Entry.K == SweepEntry::Kind::Subtree && Entry.N < 4)

@@ -312,6 +312,17 @@ TEST(BatchRunnerTest, ManifestParsing) {
   EXPECT_NE(Error.find("unknown key"), std::string::npos);
   EXPECT_FALSE(parseLine("file   ", &Error));
   EXPECT_FALSE(parseLine("subtree seed=1 n=32x", &Error));
+  // Counts are unsigned decimal digits: strtoul alone wraps "-1" and skips
+  // a leading '+' or blank. n and slack share the instance readers' caps.
+  for (const char *Line :
+       {"subtree seed=1 n=-1", "subtree seed=-1 n=32", "subtree seed=1 n=+32",
+        "subtree seed=1 n=32 slack=-2", "program seed=1 blocks=-12",
+        "subtree seed=1 n=4294967296", "subtree seed=1 n=16777217",
+        "subtree seed=1 n=32 slack=65537",
+        "subtree seed=99999999999999999999 n=32"}) {
+    EXPECT_FALSE(parseLine(Line, &Error)) << Line;
+    EXPECT_NE(Error.find("malformed value"), std::string::npos) << Line;
+  }
 }
 
 TEST(BatchRunnerTest, CancelTokenDeadlinesAndChaining) {

@@ -10,6 +10,7 @@
 
 #include <set>
 #include <sstream>
+#include <utility>
 
 using namespace rc;
 
@@ -87,6 +88,29 @@ TEST(ChallengeFormatTest, ParseErrors) {
   EXPECT_NE(Error.find("line 2: register count must be positive"),
             std::string::npos)
       << Error;
+
+  // Counts are unsigned decimal digits within the shared caps: `>> unsigned`
+  // used to read "-1" as 4294967295.
+  const std::pair<const char *, const char *> BadCounts[] = {
+      {"k -1\nn 2\n", "line 1: malformed register count '-1'"},
+      {"k +3\nn 2\n", "line 1: malformed register count '+3'"},
+      {"k 4294967295\nn 2\n",
+       "line 1: register count 4294967295 exceeds the limit 65536"},
+      {"k 65537\nn 2\n", "line 1: register count 65537 exceeds the limit"},
+      {"k 2\nn -1\n", "line 2: malformed vertex count '-1'"},
+      {"k 2\nn 4294967295\n",
+       "line 2: vertex count 4294967295 exceeds the limit 16777216"},
+      {"k 2\nn 99999999999999999999999\n", "malformed vertex count"},
+      {"k\nn 2\n", "line 1: expected register count"},
+  };
+  for (const auto &[Text, Needle] : BadCounts) {
+    std::istringstream In(Text);
+    EXPECT_FALSE(readChallenge(In, P, &Error)) << Text;
+    EXPECT_NE(Error.find(Needle), std::string::npos) << Text << ": " << Error;
+  }
+  std::istringstream AtCaps("k 65536\nn 16\n");
+  EXPECT_TRUE(readChallenge(AtCaps, P, &Error)) << Error;
+  EXPECT_EQ(P.K, MaxChallengeRegisters);
 
   std::istringstream NoK("n 2\ne 0 1\n");
   EXPECT_FALSE(readChallenge(NoK, P, &Error));

@@ -276,6 +276,17 @@ TEST(FormatRoundTripTest, RejectsCorruptInputs) {
       Bad[8 + I] = 0; // k
     rejects(Bad, "zero register count");
   }
+  // Counts past the shared caps: 4294967295 is what `-1` used to become.
+  auto withU32 = [&Good](size_t Offset, uint32_t Value) {
+    std::string Bad = Good;
+    for (int I = 0; I < 4; ++I)
+      Bad[Offset + I] = static_cast<char>((Value >> (8 * I)) & 0xFF);
+    return Bad;
+  };
+  rejects(withU32(8, 4294967295u), "register count 2^32 - 1");
+  rejects(withU32(8, MaxChallengeRegisters + 1), "register count over cap");
+  rejects(withU32(12, 4294967295u), "vertex count 2^32 - 1");
+  rejects(withU32(12, MaxChallengeVertices + 1), "vertex count over cap");
   rejects(Good.substr(0, 20), "truncated header");
   rejects(Good.substr(0, 36), "truncated edge list");
   rejects(Good.substr(0, Good.size() - 3), "truncated affinity list");

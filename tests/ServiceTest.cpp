@@ -271,6 +271,16 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
        "malformed instance"},
       {"zero registers", "rcq 1\nspec briggs\ninstance\nk 0\nn 2\n",
        "register count must be positive"},
+      // `>> unsigned` used to read "-1" as 4294967295; a biased-select
+      // solve would then size a k-entry table per vertex.
+      {"negative registers",
+       "rcq 1\nspec biased-select\ninstance\nk -1\nn 2\n",
+       "malformed register count '-1'"},
+      {"huge registers",
+       "rcq 1\nspec biased-select\ninstance\nk 4294967295\nn 2\n",
+       "register count 4294967295 exceeds the limit"},
+      {"negative vertices", "rcq 1\nspec briggs\ninstance\nk 2\nn -1\n",
+       "malformed vertex count '-1'"},
   };
   for (const Case &C : Cases) {
     WireRequest Request;
@@ -546,6 +556,13 @@ TEST(ServiceLoopTest, MalformedRequestPayloadAnsweredBadRequest) {
   // Zero registers: rejected by the parser, never reaches a strategy.
   writeFrame(In, FrameType::Request,
              "rcq 1\nspec briggs\ninstance\nk 0\nn 2\na 0 1 1\n");
+  // Negative or huge counts: rejected by the parser, never size an
+  // allocation.
+  for (const char *Counts :
+       {"k -1\nn 2\n", "k 2\nn -1\n", "k 4294967295\nn 2\n"})
+    writeFrame(In, FrameType::Request,
+               std::string("rcq 1\nspec biased-select\ninstance\n") +
+                   Counts);
   writeFrame(In, FrameType::Request,
              buildRequestPayload(Corpus[0].Problem, "briggs"));
 
@@ -560,11 +577,11 @@ TEST(ServiceLoopTest, MalformedRequestPayloadAnsweredBadRequest) {
       << Error;
 
   std::vector<Frame> Frames = decodeFrames(OS.str());
-  ASSERT_EQ(Frames.size(), 3u);
-  EXPECT_EQ(statusOf(Frames[0]), "bad-request");
-  EXPECT_EQ(statusOf(Frames[1]), "bad-request");
-  EXPECT_EQ(statusOf(Frames[2]), "ok");
-  EXPECT_EQ(Service.stats().BadRequests, 2u);
+  ASSERT_EQ(Frames.size(), 6u);
+  for (size_t I = 0; I < 5; ++I)
+    EXPECT_EQ(statusOf(Frames[I]), "bad-request") << "frame " << I;
+  EXPECT_EQ(statusOf(Frames[5]), "ok");
+  EXPECT_EQ(Service.stats().BadRequests, 5u);
 }
 
 TEST(ServiceLoopTest, OversizedFramesAnsweredBadRequestAndSkipped) {

@@ -12,10 +12,22 @@
 // (seed%2 ? 0 : 2), generate with Rng(seed) / TreeSize=N/2, and print one
 // line per strategy with %.17g for the weights.
 //
+// strategy_stats.golden stops at n = 512, below the 4096-vertex dense/sparse
+// switch. The sparse side is pinned by tests/golden/sparse_sweep.jsonl, the
+// --no-timing JSONL of
+//   rc_sweep --manifest tests/manifests/sparse_golden.manifest --no-timing
+//     --jobs 2 --strategies SPECS
+// with SPECS the sweep-sparse heuristics
+// aggressive,briggs+george,brute-conservative,optimistic,irc,biased-select.
+// SparseSweepJsonlMatchesRecording replays it through the batch runner and
+// byte-compares.
+//
 //===----------------------------------------------------------------------===//
 
 #include "challenge/ChallengeInstance.h"
 #include "challenge/StrategyRegistry.h"
+#include "runner/BatchRunner.h"
+#include "runner/SweepManifest.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -121,4 +134,33 @@ TEST(StrategyGoldenTest, StatsMatchPreRefactorRecording) {
     ++Checked;
   }
   EXPECT_EQ(Checked, Lines.size());
+}
+
+TEST(StrategyGoldenTest, SparseSweepJsonlMatchesRecording) {
+  std::string Dir(RC_TEST_DATA_DIR);
+  SweepManifest Manifest;
+  std::string Error;
+  ASSERT_TRUE(loadSweepManifest(Dir + "/manifests/sparse_golden.manifest",
+                                Manifest, &Error))
+      << Error;
+  std::vector<LabeledProblem> Problems;
+  ASSERT_TRUE(materializeSweep(Manifest, Problems, &Error)) << Error;
+  for (const LabeledProblem &LP : Problems)
+    ASSERT_GT(LP.Problem.G.numVertices(), Graph::DefaultDenseThreshold)
+        << LP.Label << " would run on the dense engine";
+
+  BatchOptions Options;
+  Options.Workers = 2;
+  BatchReport Report = runBatch(
+      crossJobs(Problems, {"aggressive", "briggs+george", "brute-conservative",
+                           "optimistic", "irc", "biased-select"}),
+      Options);
+  std::ostringstream Got;
+  writeBatchJsonl(Got, Report, /*IncludeTiming=*/false);
+
+  std::ifstream In(Dir + "/golden/sparse_sweep.jsonl", std::ios::binary);
+  ASSERT_TRUE(In) << "cannot open golden/sparse_sweep.jsonl";
+  std::ostringstream Want;
+  Want << In.rdbuf();
+  EXPECT_EQ(Got.str(), Want.str());
 }
