@@ -9,7 +9,6 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 using namespace rc;
@@ -197,11 +196,8 @@ bool rc::readChallengeMapped(const MappedFile &File, CoalescingProblem &P,
   if (File.size() >= 4 &&
       std::memcmp(File.data(), ChallengeBinaryMagic, 4) == 0)
     return readChallengeBinaryBuffer(File.data(), File.size(), P, Error);
-  // Text: the line parser wants a stream; the copy is fine for the small
-  // human-readable format.
-  std::istringstream In(
-      std::string(reinterpret_cast<const char *>(File.data()), File.size()));
-  return readChallenge(In, P, Error);
+  return readChallengeText(reinterpret_cast<const char *>(File.data()),
+                           File.size(), P, Error);
 }
 
 bool rc::readChallengeFile(const std::string &Path, CoalescingProblem &P,

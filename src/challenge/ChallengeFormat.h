@@ -14,6 +14,28 @@
 ///   e <u> <v>          interference edge
 ///   a <u> <v> <weight> affinity
 ///
+/// The format is line based. A line is cut into tokens at blanks (space,
+/// tab, \v, \f, \r), so CRLF files read like LF files. A blank line, or one
+/// whose first token starts with '#', is skipped. The first token is the
+/// tag, and every field after it is one whole token: "2.5" is not a vertex
+/// and "1x" is not a weight. Tokens after the last field are ignored.
+///  - Counts (k, n) are decimal digits only, within MaxChallengeRegisters
+///    resp. MaxChallengeVertices; k must be positive.
+///  - Endpoints are decimal digits with an optional sign, naming a vertex
+///    below n; a minus sign is accepted on zero only. The two endpoints of
+///    a line differ.
+///  - Weights are finite decimal floating-point numbers with an optional
+///    sign ('+' included), fraction and exponent, read correctly rounded.
+///    Hex, inf, nan and magnitudes past DBL_MAX are refused; a magnitude
+///    below the smallest subnormal reads as zero.
+/// 'e' and 'a' lines need an earlier 'n' line, and an instance needs both
+/// a 'k' and an 'n' line; a second 'n' line is an error. Every error names
+/// its line.
+///
+/// The writer prints counts and endpoints in decimal and weights as
+/// printf's "%g" (six significant digits), so text weights are rounded;
+/// the RCBF container (challenge/ChallengeBinary.h) keeps them bit-exact.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHALLENGE_CHALLENGEFORMAT_H
@@ -25,6 +47,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace rc {
 
@@ -40,18 +63,25 @@ constexpr unsigned MaxChallengeRegisters = 1u << 16;
 /// Parses \p Text as a decimal count: digits only, so a sign or a blank is
 /// refused instead of wrapped ("-1" is not 4294967295), and false when the
 /// value overflows 64 bits. Shared by the instance and manifest readers.
-bool parseCount(const std::string &Text, uint64_t &Out);
+bool parseCount(std::string_view Text, uint64_t &Out);
 
-/// Writes \p P in the text format.
+/// Appends the text rendering of \p P to \p Out. The one text writer.
+void appendChallenge(std::string &Out, const CoalescingProblem &P);
+
+/// Writes \p P in the text format: appendChallenge's bytes, flushed to
+/// \p OS in chunks.
 void writeChallenge(std::ostream &OS, const CoalescingProblem &P);
 
-/// Parses an instance from \p IS. Both a 'k' line with a positive
-/// register count and an 'n' line are required. Both counts are plain
-/// decimal digits (no sign) within MaxChallengeRegisters resp.
-/// MaxChallengeVertices.
+/// Parses the text instance in the \p Size bytes at \p Data, in place. The
+/// one text parser; the grammar is in the file comment.
 ///
 /// \param [out] Error diagnostic on failure.
 /// \returns true on success, storing the instance into \p P.
+bool readChallengeText(const char *Data, size_t Size, CoalescingProblem &P,
+                       std::string *Error = nullptr);
+
+/// Reads the rest of \p IS into memory and parses it with
+/// readChallengeText.
 bool readChallenge(std::istream &IS, CoalescingProblem &P,
                    std::string *Error = nullptr);
 

@@ -55,9 +55,10 @@ struct ChordalIncrementalResult {
   /// infeasible.
   std::vector<unsigned> MergedChain;
   /// True when the chain tiles the whole path with real vertices (no slack
-  /// interval used). Only then does merging MergedChain provably keep the
-  /// graph chordal; a gapped chain still witnesses feasibility (the color
-  /// threads through free slots), but its merge may break chordality.
+  /// interval used). A gapped chain still witnesses feasibility (the color
+  /// threads through free slots). Merging an arbitrary gapped chain may
+  /// break chordality; the chains both decision procedures pick do not
+  /// (the argument is on ChordalStrategyResult).
   bool GapFree = false;
 };
 

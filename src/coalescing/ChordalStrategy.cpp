@@ -76,31 +76,19 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       ++Result.InfeasibleAffinities;
       continue;
     }
-    // Merge the whole chain (it includes X and Y) speculatively. Its
-    // vertices are current classes sharing the witness's color, so no two
-    // interfere; merge one original vertex of each.
+    // Merge the whole chain (it includes X and Y). Its vertices are current
+    // classes sharing the witness's color, so no two interfere; merge one
+    // original vertex of each. The quotient stays chordal, gapped chain or
+    // not (the argument is on ChordalStrategyResult).
     const std::vector<unsigned> &Merged = Decision.MergedChain;
     assert(Merged.size() >= 2 && "chain must contain x and y");
-    Classes.checkpoint();
     unsigned Root = ClassRep[Merged.front()];
     for (size_t I = 1; I < Merged.size(); ++I)
       Classes.merge(Root, ClassRep[Merged[I]]);
-    // The quotient stays chordal for gap-free chains (asserted) and is
-    // checked for chains that threaded a slack slot.
     CoalescingSolution Tentative = Classes.solution();
     Graph Quotient = P.G.quotient(Tentative.ClassIds, Tentative.NumClasses);
-    bool Chordal = isChordal(Quotient);
-    assert((Chordal || !Decision.GapFree) &&
-           "gap-free chain merge broke chordality, contradicting Theorem 5");
-    if (!Chordal) {
-      // The chain threads through free color slots and merging its real
-      // vertices would break chordality, which every later exact decision
-      // depends on. Leave the affinity uncoalesced instead.
-      Classes.rollback();
-      ++Result.DeferredGapped;
-      continue;
-    }
-    Classes.commit();
+    assert(isChordal(Quotient) &&
+           "chain merge broke chordality, contradicting Theorem 5");
     DenseIds = std::move(Tentative.ClassIds);
     Current = std::move(Quotient);
     Tree.reset();

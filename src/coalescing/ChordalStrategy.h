@@ -41,6 +41,29 @@ enum class ChordalChain {
 };
 
 /// Result of the chordal Theorem 5 strategy.
+///
+/// Every feasible affinity's chain is merged: the quotient stays chordal
+/// even when the chain threads slack slots (GapFree false), which
+/// chordalCoalesce asserts after each merge. The argument works in the
+/// clique tree T of the current graph; P is the tree path the chain tiles.
+///  - Let W be the union of the chain vertices' subtrees, and W+ be W plus
+///    the chain's slack nodes. The merged vertex s is adjacent to v iff T_v
+///    meets W. W+ is connected, because the chain tiles P, so with W+ in
+///    place of W the quotient would be a subtree graph, hence chordal.
+///  - So a chordless cycle of length >= 4 through s (cycles avoiding s are
+///    cycles of G) has a vertex c, not adjacent to s, whose subtree holds a
+///    slack node p of the chain. T_c misses W, so its interval on P lies
+///    inside the run of slack nodes around p.
+///  - Cycle vertices holding p are pairwise adjacent, so only c and one
+///    neighbour of c can hold p. From c's other neighbour the cycle reaches
+///    s without holding p, so it stays in one component K of T - p, and W
+///    meets K. A chain subtree meets P away from p, so K holds a path
+///    neighbour of p, and T_c, which holds p and meets K, holds it too.
+///  - c's interval therefore covers two or more slack nodes, and both rules
+///    would have put c in their place: BFS marking takes the fewest
+///    intervals, the DP the fewest slack intervals. A rule that may pick
+///    any chain can break chordality (the path 0-1-2-3-4 at k = 3 with the
+///    all-slack chain for (0, 4) leaves a chordless 4-cycle).
 struct ChordalStrategyResult {
   CoalescingSolution Solution;
   CoalescingStats Stats;
@@ -48,12 +71,6 @@ struct ChordalStrategyResult {
   unsigned InfeasibleAffinities = 0;
   /// Extra (non-affinity) vertices merged through chain merges.
   unsigned ChainMerges = 0;
-  /// Affinities that were incrementally feasible, but only through a slack
-  /// (gapped) chain whose merge was checked to break chordality; they are
-  /// left uncoalesced rather than destroying the invariant every later
-  /// decision relies on. (Gapped chains whose quotient happens to stay
-  /// chordal are still committed.)
-  unsigned DeferredGapped = 0;
   /// True when a CancelToken expired mid-run; the solution holds the
   /// merges accepted so far (each individually optimal, still valid).
   bool TimedOut = false;

@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 using namespace rc;
 
@@ -112,14 +113,13 @@ FrameReadStatus rc::readFrame(std::istream &IS, Frame &F,
 std::string rc::buildRequestPayload(const CoalescingProblem &P,
                                     const std::string &Spec,
                                     int64_t DeadlineMillis) {
-  std::ostringstream OS;
-  OS << "rcq " << static_cast<unsigned>(kWireVersion) << "\n";
-  OS << "spec " << Spec << "\n";
+  std::string Payload = "rcq " + std::to_string(kWireVersion) + "\n";
+  Payload += "spec " + Spec + "\n";
   if (DeadlineMillis > 0)
-    OS << "deadline-ms " << DeadlineMillis << "\n";
-  OS << "instance\n";
-  writeChallenge(OS, P);
-  return OS.str();
+    Payload += "deadline-ms " + std::to_string(DeadlineMillis) + "\n";
+  Payload += "instance\n";
+  appendChallenge(Payload, P);
+  return Payload;
 }
 
 bool rc::parseRequestPayload(const std::string &Payload, WireRequest &Request,
@@ -131,25 +131,34 @@ bool rc::parseRequestPayload(const std::string &Payload, WireRequest &Request,
   };
   Request = WireRequest();
 
-  std::istringstream IS(Payload);
-  std::string Line;
-  if (!std::getline(IS, Line) ||
-      Line != "rcq " + std::to_string(static_cast<unsigned>(kWireVersion)))
-    return fail("request must start with 'rcq " +
-                std::to_string(static_cast<unsigned>(kWireVersion)) + "'");
+  // The header lines are cut off the front of Rest; a final newline ends
+  // the last line, it does not start an empty one.
+  std::string_view Rest = Payload;
+  auto nextLine = [&Rest](std::string_view &Line) {
+    if (Rest.empty())
+      return false;
+    size_t Eol = Rest.find('\n');
+    Line = Rest.substr(0, Eol);
+    Rest.remove_prefix(Eol == std::string_view::npos ? Rest.size() : Eol + 1);
+    return true;
+  };
+  const std::string VersionLine = "rcq " + std::to_string(kWireVersion);
+  std::string_view Line;
+  if (!nextLine(Line) || Line != VersionLine)
+    return fail("request must start with '" + VersionLine + "'");
 
   bool HaveSpec = false, HaveDeadline = false, HaveInstance = false;
-  while (std::getline(IS, Line)) {
+  while (nextLine(Line)) {
     size_t Space = Line.find(' ');
-    std::string Key = Line.substr(0, Space);
-    std::string Value =
-        Space == std::string::npos ? "" : Line.substr(Space + 1);
+    std::string_view Key = Line.substr(0, Space);
+    std::string Value(Space == std::string_view::npos ? std::string_view()
+                                                      : Line.substr(Space + 1));
     if (Key == "spec") {
       if (HaveSpec)
         return fail("duplicate 'spec' line");
       if (Value.empty())
         return fail("'spec' line without a strategy spec");
-      Request.Spec = Value;
+      Request.Spec = std::move(Value);
       HaveSpec = true;
     } else if (Key == "deadline-ms") {
       if (HaveDeadline)
@@ -162,12 +171,14 @@ bool rc::parseRequestPayload(const std::string &Payload, WireRequest &Request,
       HaveDeadline = true;
     } else if (Line == "instance") {
       HaveInstance = true;
+      // The instance is the rest of the payload, parsed in place.
       std::string InstanceError;
-      if (!readChallenge(IS, Request.Problem, &InstanceError))
+      if (!readChallengeText(Rest.data(), Rest.size(), Request.Problem,
+                             &InstanceError))
         return fail("malformed instance: " + InstanceError);
-      break; // The instance consumes the rest of the payload.
+      break;
     } else {
-      return fail("unknown request line '" + Line + "'");
+      return fail("unknown request line '" + std::string(Line) + "'");
     }
   }
   if (!HaveSpec)

@@ -5,9 +5,12 @@
 #include "challenge/StrategyRunner.h"
 #include "graph/Chordal.h"
 #include "graph/GreedyColorability.h"
+#include "runner/GapReport.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -108,6 +111,50 @@ TEST(ChallengeFormatTest, ParseErrors) {
     EXPECT_FALSE(readChallenge(In, P, &Error)) << Text;
     EXPECT_NE(Error.find(Needle), std::string::npos) << Text << ": " << Error;
   }
+  // Endpoints and weights are whole tokens: `>> unsigned` wrapped a signed
+  // endpoint modulo 2^32 and both readers stopped at the first byte that
+  // could not continue the number, so each of these used to load.
+  const std::pair<const char *, const char *> BadTokens[] = {
+      {"k 2\nn 2\ne -4294967295 0\n", "line 3: malformed interference edge"},
+      {"k 2\nn 2\ne 0 -1\n", "line 3: malformed interference edge"},
+      {"k 2\nn 3\ne 1 2.5\n", "line 3: malformed interference edge"},
+      {"k 2\nn 3\ne 1 2x\n", "line 3: malformed interference edge"},
+      {"k 2\nn 3\ne 1 +-2\n", "line 3: malformed interference edge"},
+      {"k 2\nn 3\ne 1 4294967297\n", "line 3: malformed interference edge"},
+      {"k 2\nn 2\na 0 -4294967295 1\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 0x1p3\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 1.5.3\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 2,5\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 +-1\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 1e\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 inf\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 -infinity\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 nan\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1 1e309\n", "line 3: malformed affinity"},
+      {"k 2\nn 2\na 0 1\n", "line 3: malformed affinity"},
+      // A second 'n' used to reset the graph and keep the affinity (0, 4)
+      // on a 2-vertex instance.
+      {"k 2\nn 5\na 0 4 1\nn 2\n", "line 4: duplicate 'n' line"},
+  };
+  for (const auto &[Text, Needle] : BadTokens) {
+    std::istringstream In(Text);
+    EXPECT_FALSE(readChallenge(In, P, &Error)) << Text;
+    EXPECT_NE(Error.find(Needle), std::string::npos) << Text << ": " << Error;
+  }
+
+  // Everything else `>>` accepted still loads, with the same value: a
+  // signed zero endpoint, a '+' on an endpoint or a weight, CRLF line ends,
+  // an underflowing weight and tokens after the last field.
+  std::istringstream Lenient("k 2\r\nn 3\r\ne -0 +2\r\na +1 0 +2.5 trailing\r\n"
+                             "a 0 2 1e-400\n\t\n");
+  ASSERT_TRUE(readChallenge(Lenient, P, &Error)) << Error;
+  EXPECT_TRUE(P.G.hasEdge(0, 2));
+  ASSERT_EQ(P.Affinities.size(), 2u);
+  EXPECT_EQ(P.Affinities[0].U, 1u);
+  EXPECT_EQ(P.Affinities[0].V, 0u);
+  EXPECT_EQ(P.Affinities[0].Weight, 2.5);
+  EXPECT_EQ(P.Affinities[1].Weight, 0.0);
+
   std::istringstream AtCaps("k 65536\nn 16\n");
   EXPECT_TRUE(readChallenge(AtCaps, P, &Error)) << Error;
   EXPECT_EQ(P.K, MaxChallengeRegisters);
@@ -121,6 +168,129 @@ TEST(ChallengeFormatTest, ParseErrors) {
   EXPECT_EQ(P.G.numEdges(), 1u);
   ASSERT_EQ(P.Affinities.size(), 1u);
   EXPECT_DOUBLE_EQ(P.Affinities[0].Weight, 2.5);
+}
+
+namespace {
+
+/// The stream writer the text format had before appendChallenge: the byte
+/// reference the writer must match.
+void writeChallengeReference(std::ostream &OS, const CoalescingProblem &P) {
+  OS << "# coalescing challenge instance\n";
+  OS << "k " << P.K << "\n";
+  OS << "n " << P.G.numVertices() << "\n";
+  for (unsigned U = 0; U < P.G.numVertices(); ++U)
+    for (unsigned V : P.G.neighbors(U))
+      if (V > U)
+        OS << "e " << U << " " << V << "\n";
+  for (const Affinity &A : P.Affinities)
+    OS << "a " << A.U << " " << A.V << " " << A.Weight << "\n";
+}
+
+std::string referenceText(const CoalescingProblem &P) {
+  std::ostringstream OS;
+  writeChallengeReference(OS, P);
+  return OS.str();
+}
+
+/// Weights whose "%g" rendering takes every branch: integers on both sides
+/// of the six-digit switch to exponent form, fractions that need rounding,
+/// signed zero, the subnormal and normal extremes, and negatives.
+const double WeightTable[] = {0.0,
+                              1.0,
+                              2.0,
+                              42.0,
+                              100000.0,
+                              123456.0,
+                              999999.0,
+                              999999.5,
+                              1000000.0,
+                              1234567.0,
+                              0.1,
+                              1.0 / 3.0,
+                              2.5,
+                              1e-4,
+                              1e-5,
+                              0.000123456789,
+                              1e21,
+                              -0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::min(),
+                              std::numeric_limits<double>::max(),
+                              -1.0,
+                              -2.5,
+                              -0.1,
+                              -1e-5,
+                              -123456789.0,
+                              -std::numeric_limits<double>::max()};
+
+} // namespace
+
+TEST(ChallengeFormatTest, WriterMatchesStreamReference) {
+  for (const LabeledProblem &LP : goldenChallengeCorpus()) {
+    const std::string Want = referenceText(LP.Problem);
+    std::string Appended = "prefix\n";
+    appendChallenge(Appended, LP.Problem);
+    EXPECT_EQ(Appended, "prefix\n" + Want) << LP.Label;
+    std::ostringstream Streamed;
+    writeChallenge(Streamed, LP.Problem);
+    EXPECT_EQ(Streamed.str(), Want) << LP.Label;
+  }
+
+  CoalescingProblem P;
+  P.K = 1;
+  P.G = Graph(3);
+  P.G.addEdge(0, 2);
+  for (double W : WeightTable)
+    P.Affinities.push_back({0, 1, W});
+  std::string Text;
+  appendChallenge(Text, P);
+  EXPECT_EQ(Text, referenceText(P));
+
+  // A text larger than the ostream writer's flush chunk.
+  CoalescingProblem Big;
+  Big.K = 1;
+  Big.G = Graph(600);
+  for (unsigned U = 0; U < 600; ++U)
+    for (unsigned V = U + 1; V < 600; V += 7)
+      Big.G.addEdge(U, V);
+  std::ostringstream Streamed;
+  writeChallenge(Streamed, Big);
+  ASSERT_GT(Streamed.str().size(), 64u << 10);
+  EXPECT_EQ(Streamed.str(), referenceText(Big));
+}
+
+TEST(ChallengeFormatTest, ReaderMatchesStreamReference) {
+  // Every token `>> double` reads whole must read to the same bits: the
+  // written rendering of each table weight, its round-trip rendering, a
+  // '+'-signed copy, and spellings the writer never produces.
+  std::vector<std::string> Tokens = {"1e-400", "-1e-400", "2e-324", "3e-324",
+                                     ".5",     "5.",      "+.5",    "1E+05",
+                                     "00012",  "-0",      "1e-5"};
+  for (double W : WeightTable) {
+    std::ostringstream Short, Full;
+    Short << W;
+    Full.precision(17);
+    Full << W;
+    for (const std::string &T : {Short.str(), Full.str()}) {
+      Tokens.push_back(T);
+      if (T[0] != '-')
+        Tokens.push_back("+" + T);
+    }
+  }
+  for (const std::string &Token : Tokens) {
+    std::istringstream RefIn(Token);
+    double Want = 0;
+    ASSERT_TRUE(static_cast<bool>(RefIn >> Want)) << Token;
+    ASSERT_EQ(RefIn.peek(), EOF) << Token;
+
+    std::istringstream In("k 1\nn 2\na 0 1 " + Token + "\n");
+    CoalescingProblem P;
+    std::string Error;
+    ASSERT_TRUE(readChallenge(In, P, &Error)) << Token << ": " << Error;
+    ASSERT_EQ(P.Affinities.size(), 1u);
+    EXPECT_EQ(std::memcmp(&P.Affinities[0].Weight, &Want, sizeof(double)), 0)
+        << Token;
+  }
 }
 
 TEST(StrategyRunnerTest, AllStrategiesProduceValidResults) {

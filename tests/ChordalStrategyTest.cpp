@@ -1,5 +1,6 @@
 //===- tests/ChordalStrategyTest.cpp - Theorem 5 strategy -------------------===//
 
+#include "coalescing/ChordalIncremental.h"
 #include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
 #include "coalescing/ExactSearch.h"
@@ -124,4 +125,54 @@ TEST(ChordalStrategyTest, FirstAffinityDecisionIsOptimal) {
       EXPECT_EQ(chordalCoalesce(P, Chain).Stats.CoalescedAffinities,
                 Exact.Stats.CoalescedAffinities);
   }
+}
+
+TEST(ChordalStrategyTest, GappedChainsCommitAndStayChordal) {
+  // The path 0-2-3-1 at k = 3: (0, 1) is feasible only through the free
+  // slot of the middle clique {2, 3}, so both chain rules pick a gapped
+  // chain, and the strategy merges it.
+  CoalescingProblem Path;
+  Path.K = 3;
+  Path.G = Graph(4);
+  Path.G.addEdge(0, 2);
+  Path.G.addEdge(2, 3);
+  Path.G.addEdge(3, 1);
+  Path.Affinities.push_back({0, 1, 1.0});
+  EXPECT_FALSE(chordalIncrementalCoalescing(Path.G, 0, 1, 3).GapFree);
+  EXPECT_FALSE(chordalIncrementalDP(Path.G, 0, 1, 3).GapFree);
+  for (ChordalChain Chain : BothChains) {
+    ChordalStrategyResult R = chordalCoalesce(Path, Chain);
+    EXPECT_EQ(R.Solution.ClassIds[0], R.Solution.ClassIds[1]);
+    EXPECT_EQ(R.InfeasibleAffinities, 0u);
+  }
+
+  // No chain either rule picks breaks chordality when merged (the argument
+  // is on ChordalStrategyResult; chordalCoalesce asserts it per merge).
+  // Random chordal and interval graphs, every non-edge an affinity.
+  Rng Rand(4242);
+  unsigned Gapped = 0;
+  for (unsigned Trial = 0; Trial < 300; ++Trial) {
+    unsigned N = 4 + static_cast<unsigned>(Rand.nextBelow(11));
+    CoalescingProblem P;
+    P.G = Trial % 2 ? randomIntervalGraph(N, 3 + N, 4, Rand)
+                    : randomChordalGraph(N, 2 + N / 2, 2, Rand);
+    P.K = chordalCliqueNumber(P.G) + static_cast<unsigned>(Rand.nextBelow(3));
+    for (unsigned U = 0; U < N; ++U)
+      for (unsigned V = U + 1; V < N; ++V)
+        if (!P.G.hasEdge(U, V)) {
+          P.Affinities.push_back(
+              {U, V, 1.0 + static_cast<double>(Rand.nextBelow(9))});
+          ChordalIncrementalResult D =
+              chordalIncrementalCoalescing(P.G, U, V, P.K);
+          Gapped += D.Feasible && !D.GapFree;
+        }
+    for (ChordalChain Chain : BothChains) {
+      ChordalStrategyResult R = chordalCoalesce(P, Chain);
+      ASSERT_TRUE(isValidCoalescing(P.G, R.Solution)) << Trial;
+      EXPECT_TRUE(isChordal(
+          P.G.quotient(R.Solution.ClassIds, R.Solution.NumClasses)))
+          << Trial;
+    }
+  }
+  EXPECT_GT(Gapped, 100u);
 }

@@ -237,6 +237,42 @@ TEST(FormatRoundTripTest, MappedMatchesBuffered65k) {
   std::remove(Path.c_str());
 }
 
+TEST(FormatRoundTripTest, MappedTextMatchesStreamText) {
+  // A text instance read in place from the mapped view, from the buffered
+  // fallback and through readChallenge(std::istream&) is the same
+  // instance, byte for byte.
+  SweepManifest Manifest;
+  std::string Error;
+  ASSERT_TRUE(loadSweepManifest(std::string(RC_TEST_DATA_DIR) +
+                                    "/manifests/golden24.manifest",
+                                Manifest, &Error))
+      << Error;
+  ASSERT_FALSE(Manifest.Entries.empty());
+  LabeledProblem LP;
+  ASSERT_TRUE(materializeSweepEntry(Manifest.Entries.back(), LP, &Error))
+      << Error;
+  std::string Path = ::testing::TempDir() + "rc_format_text_" +
+                     std::to_string(::getpid()) + ".txt";
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    writeChallenge(Out, LP.Problem);
+    Out << "# a trailing comment without a newline";
+    ASSERT_TRUE(static_cast<bool>(Out)) << Path;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  CoalescingProblem FromStream, Mapped, Buffered;
+  ASSERT_TRUE(readChallenge(In, FromStream, &Error)) << Error;
+  ASSERT_TRUE(readChallengeFile(Path, Mapped, &Error)) << Error;
+  ASSERT_TRUE(readChallengeFile(Path, Buffered, &Error,
+                                MappedFile::Mode::Buffered))
+      << Error;
+  const std::string Want = canonicalBytes(FromStream);
+  EXPECT_EQ(canonicalBytes(Mapped), Want);
+  EXPECT_EQ(canonicalBytes(Buffered), Want);
+  EXPECT_EQ(FromStream.G.numEdges(), LP.Problem.G.numEdges());
+  std::remove(Path.c_str());
+}
+
 TEST(FormatRoundTripTest, RejectsCorruptInputs) {
   CoalescingProblem P = parseText("k 2\nn 4\ne 0 3\ne 1 2\na 0 1 2\n");
   const std::string Good = canonicalBytes(P);

@@ -281,6 +281,25 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
        "register count 4294967295 exceeds the limit"},
       {"negative vertices", "rcq 1\nspec briggs\ninstance\nk 2\nn -1\n",
        "malformed vertex count '-1'"},
+      // Endpoints and weights are whole tokens; each of these used to load
+      // as a different instance (e 0 1, e 1 2, weight 0).
+      {"wrapped endpoint",
+       "rcq 1\nspec briggs\ninstance\nk 2\nn 2\ne -4294967295 0\n",
+       "line 3: malformed interference edge"},
+      {"fractional endpoint",
+       "rcq 1\nspec briggs\ninstance\nk 2\nn 3\ne 1 2.5\n",
+       "line 3: malformed interference edge"},
+      {"hex weight", "rcq 1\nspec briggs\ninstance\nk 2\nn 2\na 0 1 0x1p3\n",
+       "line 3: malformed affinity"},
+      {"infinite weight",
+       "rcq 1\nspec briggs\ninstance\nk 2\nn 2\na 0 1 inf\n",
+       "line 3: malformed affinity"},
+      {"nan weight", "rcq 1\nspec briggs\ninstance\nk 2\nn 2\na 0 1 nan\n",
+       "line 3: malformed affinity"},
+      // A second 'n' used to shrink the graph under the affinity (0, 4).
+      {"duplicate vertex count",
+       "rcq 1\nspec briggs\ninstance\nk 2\nn 5\na 0 4 1\nn 2\n",
+       "line 4: duplicate 'n' line"},
   };
   for (const Case &C : Cases) {
     WireRequest Request;
@@ -289,6 +308,33 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
     EXPECT_NE(Error.find(C.ErrorNeedle), std::string::npos)
         << C.Label << ": " << Error;
   }
+}
+
+TEST(WireProtocolTest, TruncatedAndFlippedPayloadsParseOrFail) {
+  // Every prefix of a real request, and every prefix with its last byte
+  // flipped, must parse or return a diagnostic; none may crash (the asan
+  // build runs this through the buffer parser's pointer arithmetic).
+  std::vector<LabeledProblem> Corpus = goldenChallengeCorpus();
+  const std::string Payload =
+      buildRequestPayload(Corpus.front().Problem, "briggs", 250);
+  ASSERT_LT(Payload.size(), 8192u);
+  unsigned Parsed = 0;
+  for (size_t Len = 0; Len <= Payload.size(); ++Len) {
+    std::string Prefix = Payload.substr(0, Len);
+    std::string Flipped = Prefix;
+    if (Len > 0)
+      Flipped[Len - 1] = static_cast<char>(Flipped[Len - 1] ^ (1 << (Len % 8)));
+    for (const std::string &Bytes : {Prefix, Flipped}) {
+      WireRequest Request;
+      std::string Error;
+      if (parseRequestPayload(Bytes, Request, &Error))
+        ++Parsed;
+      else
+        EXPECT_FALSE(Error.empty()) << Len;
+    }
+  }
+  // The whole payload parses, so at least one prefix does.
+  EXPECT_GT(Parsed, 0u);
 }
 
 TEST(WireProtocolTest, ResponsePayloadCarriesBadOptionDiagnostics) {
