@@ -78,6 +78,8 @@ CoalescingProblem rc::generateProgramChallengeInstance(
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
   P.K = IG.Maxlive + Options.PressureSlack;
-  P.Names = std::move(IG.Names);
+  P.Names.reserve(F.numValues());
+  for (ir::ValueId V = 0; V < F.numValues(); ++V)
+    P.Names.push_back(F.valueName(V));
   return P;
 }

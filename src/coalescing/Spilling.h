@@ -24,22 +24,23 @@ namespace rc {
 
 /// Result of graph-level spilling.
 struct SpillResult {
-  /// Spilled vertex ids (in the original graph's numbering).
+  /// Spilled vertex ids (in the original graph's numbering), sorted.
   std::vector<unsigned> Spilled;
-  /// The surviving vertices (complement of Spilled), sorted.
+  /// The surviving vertices (complement of Spilled), sorted. The subgraph
+  /// they induce (Graph::inducedSubgraph) is greedy-k-colorable.
   std::vector<unsigned> Kept;
-  /// The induced subgraph on Kept; greedy-k-colorable by construction.
-  Graph Remaining;
-  /// Maps original vertex id to id in Remaining (~0u when spilled).
-  std::vector<unsigned> OldToNew;
 };
 
-/// Repeatedly removes a highest-degree vertex from the stuck core of the
-/// greedy elimination until the remaining graph is greedy-k-colorable.
+/// Spills vertices until the kept graph is greedy-k-colorable, in one
+/// resumable k-core peel: vertices of degree < K are peeled; when the peel
+/// is stuck, the stuck core's vertex minimizing cost / degree among the
+/// kept vertices is spilled (Chaitin's heuristic; the lowest id wins ties)
+/// and the peel resumes from its neighbors. The stuck core is the k-core
+/// of the kept graph, which is unique, so this spills exactly what
+/// re-running greedyEliminate on each kept subgraph would. O(V + E +
+/// spills * |core|).
 ///
-/// \param SpillCosts optional per-vertex costs: among stuck vertices, the
-///        one minimizing cost/degree is spilled (Chaitin's heuristic);
-///        uniform costs when empty.
+/// \param SpillCosts optional per-vertex costs; uniform when empty.
 SpillResult spillToGreedyK(const Graph &G, unsigned K,
                            const std::vector<double> &SpillCosts = {});
 

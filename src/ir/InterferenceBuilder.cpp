@@ -20,6 +20,7 @@ InterferenceGraph ir::buildInterferenceGraph(const Function &F,
                            static_cast<size_t>(Result.Maxlive) *
                                F.numValues());
 
+  std::vector<unsigned> EntryVec; // Phi-entry clique, reused per block.
   for (BlockId B = 0; B < F.numBlocks(); ++B) {
     const BasicBlock &BB = F.block(B);
     BitSet Live = L.liveOut(B);
@@ -33,9 +34,10 @@ InterferenceGraph ir::buildInterferenceGraph(const Function &F,
             (Mode == InterferenceMode::Chaitin && I.Op == Opcode::Copy)
                 ? I.Srcs[0]
                 : NoValue;
-        for (unsigned V : Live.toVector())
+        Live.forEach([&](unsigned V) {
           if (V != I.Dst && V != CopySrc)
             Result.G.addEdge(I.Dst, V);
+        });
         Live.reset(I.Dst);
       }
       for (ValueId Src : I.Srcs)
@@ -50,7 +52,8 @@ InterferenceGraph ir::buildInterferenceGraph(const Function &F,
       BitSet Entry = L.liveIn(B);
       for (const Instruction &Phi : BB.Phis)
         Entry.set(Phi.Dst);
-      std::vector<unsigned> EntryVec = Entry.toVector();
+      EntryVec.clear();
+      Entry.forEach([&EntryVec](unsigned V) { EntryVec.push_back(V); });
       Result.G.addClique(EntryVec);
     }
   }
@@ -78,9 +81,5 @@ InterferenceGraph ir::buildInterferenceGraph(const Function &F,
       continue; // Constrained move: not coalescable.
     Result.Affinities.push_back({Pair.first, Pair.second, Weight});
   }
-
-  Result.Names.reserve(F.numValues());
-  for (ValueId V = 0; V < F.numValues(); ++V)
-    Result.Names.push_back(F.valueName(V));
   return Result;
 }

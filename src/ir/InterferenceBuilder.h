@@ -25,7 +25,6 @@
 #include "ir/Function.h"
 #include "ir/Liveness.h"
 
-#include <string>
 #include <vector>
 
 namespace rc {
@@ -42,15 +41,14 @@ enum class InterferenceMode {
 
 /// An interference graph plus move affinities extracted from a function.
 struct InterferenceGraph {
-  /// Vertex v corresponds to value v of the originating function.
+  /// Vertex v corresponds to value v of the originating function, so
+  /// Function::valueName(v) labels it.
   Graph G;
   /// Deduplicated affinities with accumulated frequency weights. Affinities
   /// whose endpoints interfere (constrained moves) are dropped.
   std::vector<Affinity> Affinities;
   /// Maxlive of the function.
   unsigned Maxlive = 0;
-  /// Value names, usable as graph vertex labels.
-  std::vector<std::string> Names;
 };
 
 /// Builds the interference graph of \p F.

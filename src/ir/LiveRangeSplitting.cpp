@@ -18,14 +18,14 @@ SplitStats ir::splitLiveRangesAtBlockBoundaries(Function &F) {
     // Self-copies of every live-in value; SSA reconstruction renames them
     // into genuine range splits.
     std::vector<Instruction> Boundary;
-    for (unsigned V : Live.liveIn(B).toVector()) {
+    Live.liveIn(B).forEach([&](unsigned V) {
       Instruction Copy;
       Copy.Op = Opcode::Copy;
       Copy.Dst = V;
       Copy.Srcs = {V};
       Boundary.push_back(std::move(Copy));
       ++Stats.CopiesInserted;
-    }
+    });
     auto &Body = F.block(B).Body;
     Body.insert(Body.begin(), Boundary.begin(), Boundary.end());
   }

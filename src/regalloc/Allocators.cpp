@@ -76,11 +76,13 @@ AllocationResult regalloc::allocateTwoPhase(Function F, unsigned K,
   constexpr double TempCost = 1e12;
 
   // Phase 1: spill whole values until the graph is greedy-k-colorable.
+  // The round that spills nothing leaves F unchanged, so its graph is the
+  // one phase 2 coalesces.
+  InterferenceGraph IG;
   for (;;) {
     if (++Result.Iterations > MaxIterations)
       return Result; // Budget exhausted; Success stays false.
-    InterferenceGraph IG =
-        buildInterferenceGraph(F, InterferenceMode::Chaitin);
+    IG = buildInterferenceGraph(F, InterferenceMode::Chaitin);
     SpillResult Spill = spillToGreedyK(IG.G, K, Costs);
     if (Spill.Spilled.empty())
       break;
@@ -94,8 +96,6 @@ AllocationResult regalloc::allocateTwoPhase(Function F, unsigned K,
 
   // Phase 2: coalesce conservatively (merge-and-check), then color with
   // affinity bias. No spills can occur here.
-  InterferenceGraph IG =
-      buildInterferenceGraph(F, InterferenceMode::Chaitin);
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);

@@ -126,6 +126,8 @@ std::future<ServiceReply> CoalescingService::submit(WireRequest Request,
   J->Start = Start;
   // The deadline is armed at admission, not at pickup: time spent queued
   // counts, so a deadline bounds the client's wait, not the worker's CPU.
+  assert(J->Request.DeadlineMillis <= kMaxDeadlineMillis &&
+         "deadline past the wire-format cap");
   if (J->Request.DeadlineMillis > 0)
     J->Deadline.setDeadline(std::chrono::steady_clock::now() +
                             std::chrono::milliseconds(

@@ -6,7 +6,6 @@
 #include "support/JsonWriter.h"
 
 #include <cassert>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
 
@@ -163,11 +162,13 @@ bool rc::parseRequestPayload(const std::string &Payload, WireRequest &Request,
     } else if (Key == "deadline-ms") {
       if (HaveDeadline)
         return fail("duplicate 'deadline-ms' line");
-      char *End = nullptr;
-      long long Millis = std::strtoll(Value.c_str(), &End, 10);
-      if (Value.empty() || *End != '\0' || Millis < 0)
+      uint64_t Millis = 0;
+      if (!parseCount(Value, Millis))
         return fail("invalid 'deadline-ms' value '" + Value + "'");
-      Request.DeadlineMillis = Millis;
+      if (Millis > uint64_t(kMaxDeadlineMillis))
+        return fail("'deadline-ms' value " + Value + " exceeds the limit " +
+                    std::to_string(kMaxDeadlineMillis));
+      Request.DeadlineMillis = static_cast<int64_t>(Millis);
       HaveDeadline = true;
     } else if (Line == "instance") {
       HaveInstance = true;

@@ -31,7 +31,8 @@
 ///
 ///   rcq 1
 ///   spec briggs+george
-///   deadline-ms 250        (optional; 0 or absent = no deadline)
+///   deadline-ms 250        (optional; 0 or absent = no deadline; decimal
+///                           digits, at most kMaxDeadlineMillis)
 ///   instance
 ///   k 4
 ///   n 8
@@ -101,6 +102,11 @@ void writeFrame(std::ostream &OS, FrameType Type, const std::string &Payload);
 FrameReadStatus readFrame(std::istream &IS, Frame &F,
                           uint32_t MaxPayloadBytes = kDefaultMaxPayloadBytes,
                           std::string *Error = nullptr);
+
+/// The largest `deadline-ms` a request may carry: 2^31 - 1 ms, about 24.8
+/// days. Admission adds the deadline to steady_clock::now(), whose
+/// nanosecond count overflows for values above about 9.2e12 ms.
+constexpr int64_t kMaxDeadlineMillis = (int64_t(1) << 31) - 1;
 
 /// A parsed request payload.
 struct WireRequest {

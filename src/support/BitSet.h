@@ -73,18 +73,19 @@ public:
     return Total;
   }
 
+  /// Calls \p Fn(I) for every set bit I, in increasing order. \p Fn must
+  /// not modify this set.
+  template <typename FnT> void forEach(FnT &&Fn) const {
+    for (size_t W = 0; W < Words.size(); ++W)
+      for (uint64_t Bits = Words[W]; Bits; Bits &= Bits - 1)
+        Fn(static_cast<unsigned>(W * 64 + std::countr_zero(Bits)));
+  }
+
   /// Returns the set bits in increasing order.
   std::vector<unsigned> toVector() const {
     std::vector<unsigned> Result;
     Result.reserve(count());
-    for (size_t W = 0; W < Words.size(); ++W) {
-      uint64_t Bits = Words[W];
-      while (Bits) {
-        unsigned Offset = static_cast<unsigned>(std::countr_zero(Bits));
-        Result.push_back(static_cast<unsigned>(W * 64 + Offset));
-        Bits &= Bits - 1;
-      }
-    }
+    forEach([&Result](unsigned I) { Result.push_back(I); });
     return Result;
   }
 

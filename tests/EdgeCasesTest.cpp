@@ -99,7 +99,7 @@ TEST(EdgeCasesTest, SpillEverythingWhenKIsOne) {
   Graph G = Graph::complete(4);
   SpillResult R = spillToGreedyK(G, 1);
   EXPECT_EQ(R.Spilled.size(), 3u);
-  EXPECT_EQ(R.Remaining.numVertices(), 1u);
+  EXPECT_EQ(G.inducedSubgraph(R.Kept).numVertices(), 1u);
 }
 
 TEST(EdgeCasesTest, NodeMergingOnEmptyAndSingleton) {

@@ -263,6 +263,19 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
       {"negative deadline",
        "rcq 1\nspec briggs\ndeadline-ms -5\ninstance\n" + Instance.str(),
        "deadline-ms"},
+      // strtoll used to read this as LLONG_MAX, whose deadline overflowed
+      // at admission and expired at once.
+      {"overflowing deadline",
+       "rcq 1\nspec briggs\ndeadline-ms 99999999999999999999\ninstance\n" +
+           Instance.str(),
+       "invalid 'deadline-ms'"},
+      {"deadline past the cap",
+       "rcq 1\nspec briggs\ndeadline-ms 2147483648\ninstance\n" +
+           Instance.str(),
+       "exceeds the limit 2147483647"},
+      {"signed deadline",
+       "rcq 1\nspec briggs\ndeadline-ms +5\ninstance\n" + Instance.str(),
+       "invalid 'deadline-ms'"},
       {"unknown line",
        "rcq 1\nspec briggs\npriority 7\ninstance\n" + Instance.str(),
        "unknown request line"},
@@ -308,6 +321,16 @@ TEST(WireProtocolTest, RequestGrammarIsStrict) {
     EXPECT_NE(Error.find(C.ErrorNeedle), std::string::npos)
         << C.Label << ": " << Error;
   }
+
+  // The cap itself is a valid deadline.
+  WireRequest AtCap;
+  std::string Error;
+  ASSERT_TRUE(parseRequestPayload(
+      "rcq 1\nspec briggs\ndeadline-ms 2147483647\ninstance\n" +
+          Instance.str(),
+      AtCap, &Error))
+      << Error;
+  EXPECT_EQ(AtCap.DeadlineMillis, kMaxDeadlineMillis);
 }
 
 TEST(WireProtocolTest, TruncatedAndFlippedPayloadsParseOrFail) {

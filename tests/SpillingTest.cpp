@@ -6,21 +6,82 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace rc;
+
+namespace {
+
+/// The rebuild-and-re-eliminate spill loop spillToGreedyK replaced: after
+/// every spill it builds the kept subgraph from scratch and re-runs the
+/// elimination. Kept as the reference the one-peel version must match.
+SpillResult referenceSpillToGreedyK(const Graph &G, unsigned K,
+                                    const std::vector<double> &SpillCosts) {
+  SpillResult Result;
+  std::vector<bool> IsSpilled(G.numVertices(), false);
+  for (;;) {
+    std::vector<unsigned> Kept;
+    for (unsigned V = 0; V < G.numVertices(); ++V)
+      if (!IsSpilled[V])
+        Kept.push_back(V);
+    Graph Sub = G.inducedSubgraph(Kept);
+    EliminationResult E = greedyEliminate(Sub, K);
+    if (E.Success) {
+      Result.Kept = std::move(Kept);
+      std::sort(Result.Spilled.begin(), Result.Spilled.end());
+      return Result;
+    }
+    unsigned Victim = ~0u;
+    double VictimScore = 0;
+    for (unsigned StuckNew : E.Stuck) {
+      unsigned Old = Kept[StuckNew];
+      double Cost = SpillCosts.empty() ? 1.0 : SpillCosts[Old];
+      double Score = Cost / std::max(1u, Sub.degree(StuckNew));
+      if (Victim == ~0u || Score < VictimScore) {
+        Victim = Old;
+        VictimScore = Score;
+      }
+    }
+    IsSpilled[Victim] = true;
+    Result.Spilled.push_back(Victim);
+  }
+}
+
+/// \p G with the same edges in sparse (sorted-row) representation.
+Graph sparseCopy(const Graph &G) {
+  Graph Sparse(G.numVertices(), /*DenseThreshold=*/0);
+  for (unsigned U = 0; U < G.numVertices(); ++U)
+    for (unsigned V : G.neighbors(U))
+      if (U < V)
+        Sparse.addEdge(U, V);
+  return Sparse;
+}
+
+/// A random graph greedy-K-colorable by construction: each vertex joins at
+/// most K - 1 earlier ones, so peeling in reverse id order never sticks.
+Graph degenerateGraph(unsigned N, unsigned K, Rng &Rand) {
+  Graph G(N);
+  for (unsigned V = 1; V < N; ++V)
+    for (unsigned I = 0; I + 1 < K; ++I)
+      G.addEdge(V, static_cast<unsigned>(Rand.nextBelow(V)));
+  return G;
+}
+
+} // namespace
 
 TEST(SpillingTest, NoSpillsWhenAlreadyColorable) {
   Graph G = Graph::cycle(5);
   SpillResult R = spillToGreedyK(G, 3);
   EXPECT_TRUE(R.Spilled.empty());
   EXPECT_EQ(R.Kept.size(), 5u);
-  EXPECT_EQ(R.Remaining.numVertices(), 5u);
+  EXPECT_EQ(G.inducedSubgraph(R.Kept).numVertices(), 5u);
 }
 
 TEST(SpillingTest, CliqueSpillsDownToK) {
   Graph G = Graph::complete(6);
   SpillResult R = spillToGreedyK(G, 3);
   EXPECT_EQ(R.Spilled.size(), 3u);
-  EXPECT_TRUE(isGreedyKColorable(R.Remaining, 3));
+  EXPECT_TRUE(isGreedyKColorable(G.inducedSubgraph(R.Kept), 3));
 }
 
 TEST(SpillingTest, RemainingIsAlwaysGreedyK) {
@@ -29,13 +90,15 @@ TEST(SpillingTest, RemainingIsAlwaysGreedyK) {
     Graph G = randomGraph(40, 0.25, Rand);
     for (unsigned K = 2; K <= 6; K += 2) {
       SpillResult R = spillToGreedyK(G, K);
-      EXPECT_TRUE(isGreedyKColorable(R.Remaining, K));
+      std::vector<unsigned> OldToNew;
+      Graph Remaining = G.inducedSubgraph(R.Kept, &OldToNew);
+      EXPECT_TRUE(isGreedyKColorable(Remaining, K));
       EXPECT_EQ(R.Kept.size() + R.Spilled.size(), G.numVertices());
-      // OldToNew is consistent.
+      // Spilled and Kept partition the vertices.
       for (unsigned V : R.Spilled)
-        EXPECT_EQ(R.OldToNew[V], ~0u);
+        EXPECT_EQ(OldToNew[V], ~0u);
       for (unsigned I = 0; I < R.Kept.size(); ++I)
-        EXPECT_EQ(R.OldToNew[R.Kept[I]], I);
+        EXPECT_EQ(OldToNew[R.Kept[I]], I);
     }
   }
 }
@@ -47,6 +110,14 @@ TEST(SpillingTest, CostsSteerVictimSelection) {
   SpillResult R = spillToGreedyK(G, 3, Costs);
   ASSERT_EQ(R.Spilled.size(), 1u);
   EXPECT_EQ(R.Spilled[0], 2u);
+}
+
+TEST(SpillingTest, TiesSpillTheLowestId) {
+  // K5 at k=3 with uniform costs: every score ties, so 0 goes first; then
+  // 1, whose kept degree is 3 like every other core vertex.
+  SpillResult R = spillToGreedyK(Graph::complete(5), 3);
+  EXPECT_EQ(R.Spilled, (std::vector<unsigned>{0, 1}));
+  EXPECT_EQ(R.Kept, (std::vector<unsigned>{2, 3, 4}));
 }
 
 TEST(SpillingTest, SpillCountIsMonotoneInK) {
@@ -67,6 +138,55 @@ TEST(SpillingTest, TwoPhaseFlow) {
   Graph G = randomGraph(50, 0.2, Rand);
   unsigned K = 5;
   SpillResult R = spillToGreedyK(G, K);
-  Coloring C = colorGreedyKColorable(R.Remaining, K);
-  EXPECT_TRUE(isValidColoring(R.Remaining, C, static_cast<int>(K)));
+  Graph Remaining = G.inducedSubgraph(R.Kept);
+  Coloring C = colorGreedyKColorable(Remaining, K);
+  EXPECT_TRUE(isValidColoring(Remaining, C, static_cast<int>(K)));
+}
+
+TEST(SpillingTest, OnePeelMatchesRebuildReference) {
+  // Graph shapes: random densities, cliques, the empty graph, random
+  // chordal graphs, and graphs greedy-K-colorable from the start; every
+  // fourth trial adds the random graph in sparse representation.
+  Rng Rand(204);
+  unsigned Graphs = 0, WithSpills = 0;
+  for (int Trial = 0; Trial < 30; ++Trial) {
+    for (unsigned K = 1; K <= 6; ++K) {
+      std::vector<Graph> Shapes;
+      unsigned N = 1 + static_cast<unsigned>(Rand.nextBelow(48));
+      Shapes.push_back(randomGraph(N, 0.05 + 0.6 * Rand.nextDouble(), Rand));
+      Shapes.push_back(Graph::complete(1 + Trial % 12));
+      Shapes.push_back(Graph(static_cast<unsigned>(Trial)));
+      Shapes.push_back(randomChordalGraph(N, 1 + N / 2, 1 + K, Rand));
+      Shapes.push_back(degenerateGraph(N, K, Rand));
+      if (Trial % 4 == 0)
+        Shapes.push_back(sparseCopy(Shapes.front()));
+      for (const Graph &G : Shapes) {
+        unsigned NV = G.numVertices();
+        // Cost models: uniform; random; and built to tie (cost equal to
+        // degree makes every initial score 1, small integers tie often).
+        std::vector<std::vector<double>> CostModels(4);
+        for (unsigned V = 0; V < NV; ++V) {
+          CostModels[1].push_back(0.1 + 10 * Rand.nextDouble());
+          CostModels[2].push_back(G.degree(V));
+          CostModels[3].push_back(double(1 + Rand.nextBelow(3)));
+        }
+        for (const std::vector<double> &Costs : CostModels) {
+          SpillResult Fast = spillToGreedyK(G, K, Costs);
+          SpillResult Ref = referenceSpillToGreedyK(G, K, Costs);
+          ASSERT_EQ(Fast.Spilled, Ref.Spilled)
+              << "trial " << Trial << " K " << K << " n " << NV;
+          ASSERT_EQ(Fast.Kept, Ref.Kept);
+          EXPECT_TRUE(isGreedyKColorable(G.inducedSubgraph(Fast.Kept), K));
+          if (isGreedyKColorable(G, K))
+            EXPECT_TRUE(Fast.Spilled.empty());
+          else
+            EXPECT_FALSE(Fast.Spilled.empty());
+          ++Graphs;
+          WithSpills += !Fast.Spilled.empty();
+        }
+      }
+    }
+  }
+  EXPECT_GE(Graphs, 500u);
+  EXPECT_GE(WithSpills, 200u);
 }

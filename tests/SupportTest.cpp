@@ -161,6 +161,19 @@ TEST(BitSetTest, ToVectorIsSortedAndComplete) {
   EXPECT_TRUE(std::is_sorted(V.begin(), V.end()));
 }
 
+TEST(BitSetTest, ForEachVisitsSetBitsInIncreasingOrder) {
+  BitSet S(200);
+  std::vector<unsigned> Seen;
+  S.forEach([&Seen](unsigned I) { Seen.push_back(I); });
+  EXPECT_TRUE(Seen.empty());
+  std::vector<unsigned> Expected{0, 5, 63, 64, 65, 127, 128, 199};
+  for (unsigned I : Expected)
+    S.set(I);
+  S.forEach([&Seen](unsigned I) { Seen.push_back(I); });
+  EXPECT_EQ(Seen, Expected);
+  EXPECT_EQ(S.toVector(), Expected);
+}
+
 TEST(BitSetTest, EqualityComparesContents) {
   BitSet A(8), B(8);
   A.set(3);

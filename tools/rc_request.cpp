@@ -228,6 +228,11 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
+  if (DeadlineMillis > kMaxDeadlineMillis) {
+    std::cerr << "error: --deadline-ms expects at most " << kMaxDeadlineMillis
+              << "\n";
+    return 2;
+  }
   if (Decode)
     return decode(Expect);
 
