@@ -65,13 +65,14 @@ static void BM_GreedyVsExactGap(benchmark::State &State) {
   double GreedyTotal = 0, ExactTotal = 0;
   for (auto _ : State) {
     CoalescingProblem P;
-    P.G = Graph(10);
+    GraphBuilder G(10);
     for (int E = 0; E < 8; ++E) {
       unsigned U = static_cast<unsigned>(Rand.nextBelow(10));
       unsigned V = static_cast<unsigned>(Rand.nextBelow(10));
       if (U != V)
-        P.G.addEdge(U, V);
+        G.addEdge(U, V);
     }
+    P.G = std::move(G).build();
     for (int A = 0; A < 10; ++A) {
       unsigned U = static_cast<unsigned>(Rand.nextBelow(10));
       unsigned V = static_cast<unsigned>(Rand.nextBelow(10));

@@ -20,22 +20,23 @@ using namespace rc;
 /// private clique raising its degree to k = 2*Size-2.
 static CoalescingProblem paddedPermutation(unsigned Size) {
   CoalescingProblem P;
-  P.G = Graph(2 * Size);
+  GraphBuilder G(2 * Size);
   for (unsigned I = 0; I < Size; ++I)
     for (unsigned J = 0; J < Size; ++J)
       if (I != J)
-        P.G.addEdge(I, Size + J);
+        G.addEdge(I, Size + J);
   for (unsigned I = 0; I < Size; ++I)
     P.Affinities.push_back({I, Size + I, 1.0});
   P.K = 2 * Size - 2;
   unsigned PadSize = P.K - (Size - 1);
   for (unsigned V = 0; V < 2 * Size; ++V) {
-    unsigned First = P.G.addVertices(PadSize);
+    unsigned First = G.addVertices(PadSize);
     std::vector<unsigned> Clique{V};
     for (unsigned I = 0; I < PadSize; ++I)
       Clique.push_back(First + I);
-    P.G.addClique(Clique);
+    G.addClique(Clique);
   }
+  P.G = std::move(G).build();
   return P;
 }
 

@@ -31,7 +31,7 @@ static CoalescingProblem makeSplitInstance(unsigned Blocks, uint64_t Seed,
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
-  P.K = IG.Maxlive;
+  P.K = computeMaxlive(F);
   return P;
 }
 

@@ -75,7 +75,7 @@ int main() {
   InterferenceGraph IG = buildInterferenceGraph(F);
   std::cout << "Theorem 1 check: chordal = "
             << (isChordal(IG.G) ? "yes" : "NO") << ", omega = "
-            << chordalCliqueNumber(IG.G) << ", Maxlive = " << IG.Maxlive
+            << chordalCliqueNumber(IG.G) << ", Maxlive = " << computeMaxlive(F)
             << "\n";
   std::cout << "phi/copy affinities before lowering: " << IG.Affinities.size()
             << "\n\n";
@@ -99,12 +99,13 @@ int main() {
   // Lowered code is no longer SSA, so its graph is not chordal and can need
   // more than Maxlive colors for the greedy scheme; use col(G).
   InterferenceGraph Lowered = buildInterferenceGraph(F);
+  unsigned LoweredMaxlive = computeMaxlive(F);
   CoalescingProblem P;
   P.G = std::move(Lowered.G);
   P.Affinities = std::move(Lowered.Affinities);
-  P.K = std::max(Lowered.Maxlive, coloringNumber(P.G));
+  P.K = std::max(LoweredMaxlive, coloringNumber(P.G));
   std::cout << "=== coalescing the shuffle code (k = " << P.K
-            << " = max(Maxlive " << Lowered.Maxlive << ", col "
+            << " = max(Maxlive " << LoweredMaxlive << ", col "
             << coloringNumber(P.G) << "), " << P.Affinities.size()
             << " moves) ===\n";
   printComparison(std::cout, runAllStrategies(P));

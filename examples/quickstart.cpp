@@ -23,14 +23,15 @@ int main() {
   //   c is a loop counter interfering with everything.
   CoalescingProblem P;
   P.Names = {"a", "b", "c", "t", "u"};
-  P.G = Graph(5);
   const unsigned A = 0, B = 1, C = 2, T = 3, U = 4;
-  P.G.addEdge(A, B);
-  P.G.addEdge(A, C);
-  P.G.addEdge(B, C);
-  P.G.addEdge(C, T);
-  P.G.addEdge(C, U);
-  P.G.addEdge(B, T);
+  GraphBuilder G(5);
+  G.addEdge(A, B);
+  G.addEdge(A, C);
+  G.addEdge(B, C);
+  G.addEdge(C, T);
+  G.addEdge(C, U);
+  G.addEdge(B, T);
+  P.G = std::move(G).build();
   P.K = 3;
   // Moves: t = a (hot, weight 10), u = t (weight 1).
   P.Affinities = {{A, T, 10.0}, {T, U, 1.0}};

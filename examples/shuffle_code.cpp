@@ -81,7 +81,7 @@ int main(int Argc, char **Argv) {
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
-  P.K = IG.Maxlive;
+  P.K = computeMaxlive(G);
   std::cout << "coalescing the splits back at k = Maxlive = " << P.K << " ("
             << P.Affinities.size() << " moves):\n";
   printComparison(std::cout, runAllStrategies(P));

@@ -9,7 +9,6 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <vector>
 
 using namespace rc;
 
@@ -67,26 +66,21 @@ bool checkHeaderCounts(uint32_t N, uint64_t EdgeCount, uint64_t AffinityCount,
 } // namespace
 
 void rc::writeChallengeBinary(std::ostream &OS, const CoalescingProblem &P) {
-  // Canonical edge order: collect (u, v) with u < v and sort. Sparse-mode
-  // adjacency is already sorted per row, so the global sort is near-free
-  // there; dense insertion order pays one O(E log E) pass.
-  std::vector<std::pair<uint32_t, uint32_t>> Edges;
-  Edges.reserve(P.G.numEdges());
-  for (unsigned U = 0; U < P.G.numVertices(); ++U)
-    for (unsigned V : P.G.neighbors(U))
-      if (V > U)
-        Edges.push_back({U, V});
-  std::sort(Edges.begin(), Edges.end());
-
   OS.write(ChallengeBinaryMagic, 4);
   putU32(OS, ChallengeBinaryVersion);
   putU32(OS, P.K);
   putU32(OS, P.G.numVertices());
-  putU64(OS, Edges.size());
+  putU64(OS, P.G.numEdges());
   putU64(OS, P.Affinities.size());
-  for (const auto &[U, V] : Edges) {
-    putU32(OS, U);
-    putU32(OS, V);
+  // Canonical edge order, (u, v) with u < v sorted: Graph rows are
+  // ascending, so streaming each row's tail past u writes it directly.
+  for (unsigned U = 0; U < P.G.numVertices(); ++U) {
+    VertexSpan Row = P.G.neighbors(U);
+    for (const unsigned *V = std::upper_bound(Row.begin(), Row.end(), U);
+         V != Row.end(); ++V) {
+      putU32(OS, U);
+      putU32(OS, *V);
+    }
   }
   for (const Affinity &A : P.Affinities) {
     putU32(OS, A.U);

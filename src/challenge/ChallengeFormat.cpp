@@ -203,6 +203,7 @@ bool rc::parseCount(std::string_view Text, uint64_t &Out) {
 bool rc::readChallengeText(const char *Data, size_t Size,
                            CoalescingProblem &P, std::string *Error) {
   P = CoalescingProblem();
+  GraphBuilder G;
   bool SawK = false, SawN = false;
   unsigned LineNo = 0;
   const char *Cur = Data, *End = Data + Size;
@@ -235,23 +236,23 @@ bool rc::readChallengeText(const char *Data, size_t Size,
       if (!readCount(Tokens, MaxChallengeVertices, "vertex count", N,
                      Message))
         return fail(Error, where() + Message);
-      P.G = Graph(N);
+      G = GraphBuilder(N);
       SawN = true;
     } else if (Tag == "e") {
       unsigned U, V;
       if (!SawN)
         return fail(Error, where() + "'e' before 'n'");
-      if (!readEndpoint(Tokens, P.G.numVertices(), U) ||
-          !readEndpoint(Tokens, P.G.numVertices(), V) || U == V)
+      if (!readEndpoint(Tokens, G.numVertices(), U) ||
+          !readEndpoint(Tokens, G.numVertices(), V) || U == V)
         return fail(Error, where() + "malformed interference edge");
-      P.G.addEdge(U, V);
+      G.addEdge(U, V);
     } else if (Tag == "a") {
       unsigned U, V;
       double W;
       if (!SawN)
         return fail(Error, where() + "'a' before 'n'");
-      if (!readEndpoint(Tokens, P.G.numVertices(), U) ||
-          !readEndpoint(Tokens, P.G.numVertices(), V) || U == V ||
+      if (!readEndpoint(Tokens, G.numVertices(), U) ||
+          !readEndpoint(Tokens, G.numVertices(), V) || U == V ||
           !readWeight(Tokens, W))
         return fail(Error, where() + "malformed affinity");
       P.Affinities.push_back({U, V, W});
@@ -263,6 +264,7 @@ bool rc::readChallengeText(const char *Data, size_t Size,
     return fail(Error, "missing 'n' line");
   if (!SawK)
     return fail(Error, "missing 'k' line");
+  P.G = std::move(G).build();
   return true;
 }
 

@@ -77,7 +77,7 @@ CoalescingProblem rc::generateProgramChallengeInstance(
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
-  P.K = IG.Maxlive + Options.PressureSlack;
+  P.K = ir::computeMaxlive(F) + Options.PressureSlack;
   P.Names.reserve(F.numValues());
   for (ir::ValueId V = 0; V < F.numValues(); ++V)
     P.Names.push_back(F.valueName(V));

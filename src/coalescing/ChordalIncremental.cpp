@@ -15,14 +15,12 @@ Coloring rc::chordalChainWitness(
     unsigned K) {
   unsigned N = G.numVertices();
   unsigned NAug = N + static_cast<unsigned>(SlackCliques.size());
-  Graph Aug(NAug);
-  for (unsigned V = 0; V < N; ++V)
-    for (unsigned W : G.neighbors(V))
-      if (V < W)
-        Aug.addEdge(V, W);
+  GraphBuilder AugBuilder(G);
+  AugBuilder.addVertices(static_cast<unsigned>(SlackCliques.size()));
   for (unsigned S = 0; S < SlackCliques.size(); ++S)
     for (unsigned W : *SlackCliques[S])
-      Aug.addEdge(N + S, W);
+      AugBuilder.addEdge(N + S, W);
+  Graph Aug = std::move(AugBuilder).build();
 
   std::vector<bool> InChain(NAug, false);
   for (unsigned V : Chain)

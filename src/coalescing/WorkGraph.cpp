@@ -29,7 +29,6 @@ WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
     ClassArena.reset(N);
     ClassArena.reserveEntries(2 * static_cast<size_t>(G.numEdges()));
   }
-  std::vector<unsigned> Sorted;
   for (unsigned V = 0; V < N; ++V) {
     Rep[V] = V;
     Members[V] = {V};
@@ -43,12 +42,9 @@ WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
       for (unsigned W : G.neighbors(V))
         R[W >> 6] |= uint64_t(1) << (W & 63);
     } else {
-      // The arena rows are sorted; a dense-mode Graph hands out neighbors
-      // in insertion order, so sort through a reused scratch buffer.
-      VertexSpan Nbrs = G.neighbors(V);
-      Sorted.assign(Nbrs.begin(), Nbrs.end());
-      std::sort(Sorted.begin(), Sorted.end());
-      ClassArena.assignRow(V, Sorted);
+      // Graph rows are already sorted; the reserved pool takes them in
+      // id order with no relocation.
+      ClassArena.assignRow(V, G.neighbors(V));
     }
   }
 }

@@ -23,6 +23,7 @@ static bool fail(std::string *Error, const std::string &Message) {
 
 bool rc::readDimacs(std::istream &IS, Graph &G, std::string *Error) {
   G = Graph();
+  GraphBuilder B;
   bool SawHeader = false;
   std::string Line;
   unsigned LineNo = 0;
@@ -40,21 +41,22 @@ bool rc::readDimacs(std::istream &IS, Graph &G, std::string *Error) {
         return fail(Error, where() + "malformed problem line");
       if (SawHeader)
         return fail(Error, where() + "duplicate problem line");
-      G = Graph(N);
+      B = GraphBuilder(N);
       SawHeader = true;
     } else if (Tag == "e") {
       if (!SawHeader)
         return fail(Error, where() + "edge before the problem line");
       unsigned U = 0, V = 0;
-      if (!(LS >> U >> V) || U == 0 || V == 0 || U > G.numVertices() ||
-          V > G.numVertices() || U == V)
+      if (!(LS >> U >> V) || U == 0 || V == 0 || U > B.numVertices() ||
+          V > B.numVertices() || U == V)
         return fail(Error, where() + "malformed edge");
-      G.addEdge(U - 1, V - 1);
+      B.addEdge(U - 1, V - 1);
     } else {
       return fail(Error, where() + "unknown tag '" + Tag + "'");
     }
   }
   if (!SawHeader)
     return fail(Error, "missing problem line");
+  G = std::move(B).build();
   return true;
 }

@@ -3,41 +3,48 @@
 #include "graph/Generators.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <unordered_set>
 
 using namespace rc;
 
 Graph rc::randomGraph(unsigned NumVertices, double EdgeProbability,
                       Rng &Rand) {
-  Graph G(NumVertices);
+  GraphBuilder G(NumVertices);
   for (unsigned U = 0; U < NumVertices; ++U)
     for (unsigned V = U + 1; V < NumVertices; ++V)
       if (Rand.flip(EdgeProbability))
         G.addEdge(U, V);
-  return G;
+  return std::move(G).build();
 }
 
 Graph rc::randomSparseGraph(unsigned NumVertices, double AvgDegree,
                             Rng &Rand) {
-  Graph G(NumVertices);
+  GraphBuilder G(NumVertices);
   if (NumVertices < 2)
-    return G;
+    return std::move(G).build();
   size_t Target = static_cast<size_t>(
       static_cast<double>(NumVertices) * AvgDegree / 2.0);
   size_t MaxEdges =
       static_cast<size_t>(NumVertices) * (NumVertices - 1) / 2;
   Target = std::min(Target, MaxEdges);
-  G.reserveVertices(NumVertices, Target);
   // Rejection sampling stays O(edges) while the graph is sparse (the
   // duplicate rate is edges/possible-pairs); the attempt cap makes dense
-  // parameterizations terminate instead of thrashing.
+  // parameterizations terminate instead of thrashing. Pairs already drawn
+  // are keyed (min,max) packed into one word.
+  std::unordered_set<uint64_t> Drawn;
+  Drawn.reserve(Target);
   size_t Attempts = 0, MaxAttempts = 20 * Target + 64;
-  while (G.numEdges() < Target && Attempts++ < MaxAttempts) {
+  while (Drawn.size() < Target && Attempts++ < MaxAttempts) {
     unsigned U = static_cast<unsigned>(Rand.nextBelow(NumVertices));
     unsigned V = static_cast<unsigned>(Rand.nextBelow(NumVertices));
-    if (U != V)
+    if (U == V)
+      continue;
+    uint64_t Key = (uint64_t(std::min(U, V)) << 32) | std::max(U, V);
+    if (Drawn.insert(Key).second)
       G.addEdge(U, V);
   }
-  return G;
+  return std::move(G).build();
 }
 
 std::vector<std::vector<unsigned>> rc::randomTree(unsigned NumNodes,
@@ -92,17 +99,13 @@ Graph rc::randomChordalGraph(
   for (unsigned V = 0; V < NumVertices; ++V)
     for (unsigned Node : Subtrees[V])
       AtNode[Node].push_back(V);
-  Graph G(NumVertices);
-  size_t EdgeBound = 0;
-  for (const auto &Bucket : AtNode)
-    EdgeBound += Bucket.size() * (Bucket.size() - 1) / 2;
-  G.reserveVertices(NumVertices, EdgeBound);
+  GraphBuilder G(NumVertices);
   for (const auto &Bucket : AtNode)
     G.addClique(Bucket);
 
   if (SubtreesOut)
     *SubtreesOut = std::move(Subtrees);
-  return G;
+  return std::move(G).build();
 }
 
 Graph rc::randomIntervalGraph(unsigned NumVertices, unsigned Domain,
@@ -114,13 +117,13 @@ Graph rc::randomIntervalGraph(unsigned NumVertices, unsigned Domain,
     Hi = std::min<unsigned>(
         Domain - 1, Lo + static_cast<unsigned>(Rand.nextBelow(MaxLength)));
   }
-  Graph G(NumVertices);
+  GraphBuilder G(NumVertices);
   for (unsigned U = 0; U < NumVertices; ++U)
     for (unsigned V = U + 1; V < NumVertices; ++V)
       if (Intervals[U].first <= Intervals[V].second &&
           Intervals[V].first <= Intervals[U].second)
         G.addEdge(U, V);
-  return G;
+  return std::move(G).build();
 }
 
 Graph rc::randomKColorableGraph(unsigned NumVertices, unsigned K,
@@ -129,21 +132,17 @@ Graph rc::randomKColorableGraph(unsigned NumVertices, unsigned K,
   std::vector<unsigned> HiddenColor(NumVertices);
   for (auto &Color : HiddenColor)
     Color = static_cast<unsigned>(Rand.nextBelow(K));
-  Graph G(NumVertices);
+  GraphBuilder G(NumVertices);
   for (unsigned U = 0; U < NumVertices; ++U)
     for (unsigned V = U + 1; V < NumVertices; ++V)
       if (HiddenColor[U] != HiddenColor[V] && Rand.flip(EdgeProbability))
         G.addEdge(U, V);
-  return G;
+  return std::move(G).build();
 }
 
 Graph rc::addDominatingClique(const Graph &G, unsigned P,
                               unsigned *FirstNewVertex) {
-  Graph Result = G;
-  Result.reserveVertices(G.numVertices() + P,
-                         Result.numEdges() +
-                             static_cast<size_t>(P) * G.numVertices() +
-                             static_cast<size_t>(P) * (P - 1) / 2);
+  GraphBuilder Result(G);
   unsigned First = Result.addVertices(P);
   if (FirstNewVertex)
     *FirstNewVertex = First;
@@ -154,5 +153,5 @@ Graph rc::addDominatingClique(const Graph &G, unsigned P,
     for (unsigned V = 0; V < G.numVertices(); ++V)
       Result.addEdge(V, NewV);
   }
-  return Result;
+  return std::move(Result).build();
 }

@@ -2,8 +2,6 @@
 
 #include "graph/Graph.h"
 
-#include <algorithm>
-
 using namespace rc;
 
 namespace {
@@ -16,111 +14,53 @@ inline uint32_t loadU32LE(const unsigned char *P) {
 
 } // namespace
 
-Graph Graph::fromSortedEdges(unsigned NumVertices, const unsigned char *PairsLE,
-                             size_t NumEdges, unsigned DenseThreshold) {
-  Graph G(NumVertices, DenseThreshold);
-  if (G.DenseMode) {
-    for (size_t I = 0; I < NumEdges; ++I) {
-      const unsigned char *P = PairsLE + 8 * I;
-      G.addEdge(loadU32LE(P), loadU32LE(P + 4));
-    }
-    return G;
+template <typename EdgeWalk>
+Graph Graph::freeze(unsigned NumVertices, const std::vector<unsigned> &Degree,
+                    EdgeWalk ForEachEdge) {
+  Graph G;
+  G.NumV = NumVertices;
+  G.Dense = false;
+  G.RowStart.resize(static_cast<size_t>(NumVertices) + 1);
+  size_t Total = 0;
+  for (unsigned V = 0; V < NumVertices; ++V) {
+    G.RowStart[V] = Total;
+    Total += Degree[V];
   }
-  // Degree-count pass, prefix-summed into exact CSR rows by the arena.
-  std::vector<unsigned> Deg(NumVertices, 0);
-  for (size_t I = 0; I < NumEdges; ++I) {
-    const unsigned char *P = PairsLE + 8 * I;
-    ++Deg[loadU32LE(P)];
-    ++Deg[loadU32LE(P + 4)];
-  }
-  G.Sparse.assignCsrRows(Deg);
-  // Fill pass, reusing Deg as per-row cursors. The canonical order makes
-  // every row come out sorted without a sort: row w collects its smaller
-  // neighbors while w is the second coordinate (first coordinates ascend)
-  // and its larger neighbors while w is the first (second coordinates
-  // ascend), and all of the former precede all of the latter.
-  std::fill(Deg.begin(), Deg.end(), 0u);
-  for (size_t I = 0; I < NumEdges; ++I) {
-    const unsigned char *P = PairsLE + 8 * I;
-    uint32_t U = loadU32LE(P), V = loadU32LE(P + 4);
-    G.Sparse.rowData(U)[Deg[U]++] = V;
-    G.Sparse.rowData(V)[Deg[V]++] = U;
-  }
-  G.NumEdges = static_cast<unsigned>(NumEdges);
+  G.RowStart[NumVertices] = Total;
+  G.Nbrs.resize(Total);
+  std::vector<size_t> Cursor(G.RowStart.begin(), G.RowStart.end() - 1);
+  ForEachEdge([&](unsigned A, unsigned B) {
+    G.Nbrs[Cursor[A]++] = B;
+    G.Nbrs[Cursor[B]++] = A;
+  });
+  G.NumEdges = static_cast<unsigned>(Total / 2);
   return G;
 }
 
-void Graph::migrateToSparse() {
-  assert(DenseMode && "already sparse");
-  Sparse.reset(NumV);
-  std::vector<unsigned> Sorted;
-  for (unsigned V = 0; V < NumV; ++V) {
-    Sorted.assign(Adj[V].begin(), Adj[V].end());
-    std::sort(Sorted.begin(), Sorted.end());
-    Sparse.assignRow(V, Sorted);
+Graph Graph::fromSortedEdges(unsigned NumVertices, const unsigned char *PairsLE,
+                             size_t NumEdges, unsigned DenseThreshold) {
+  std::vector<unsigned> Degree(NumVertices, 0);
+  for (size_t I = 0; I < NumEdges; ++I) {
+    const unsigned char *P = PairsLE + 8 * I;
+    ++Degree[loadU32LE(P)];
+    ++Degree[loadU32LE(P + 4)];
   }
-  DenseMode = false;
-  std::vector<std::vector<unsigned>>().swap(Adj);
-  Edges.reset(0);
-}
-
-unsigned Graph::addVertex() { return addVertices(1); }
-
-unsigned Graph::addVertices(unsigned Count) {
-  unsigned First = NumV;
-  if (DenseMode && NumV + Count > DenseThreshold)
-    migrateToSparse(); // Runs at the pre-growth size.
-  NumV += Count;
-  if (DenseMode) {
-    Adj.resize(NumV);
-    Edges.grow(NumV);
-  } else if (Sparse.numRows() < NumV) {
-    Sparse.addRows(NumV - Sparse.numRows());
+  // Sorted (u < v) pairs are the lexicographic order freeze() asks for.
+  Graph G = freeze(NumVertices, Degree, [&](auto Emit) {
+    for (size_t I = 0; I < NumEdges; ++I) {
+      const unsigned char *P = PairsLE + 8 * I;
+      Emit(loadU32LE(P), loadU32LE(P + 4));
+    }
+  });
+  if (NumVertices <= DenseThreshold) {
+    G.Dense = true;
+    G.Edges.reset(NumVertices);
+    for (unsigned U = 0; U < NumVertices; ++U)
+      for (unsigned V : G.neighbors(U))
+        if (V > U)
+          G.Edges.set(U, V);
   }
-  return First;
-}
-
-void Graph::reserveVertices(unsigned PlannedVertices, size_t PlannedEdges) {
-  if (PlannedVertices <= NumV)
-    return;
-  if (DenseMode && PlannedVertices > DenseThreshold) {
-    // The build will outgrow the matrix anyway; switch now so no quadratic
-    // intermediate is ever allocated.
-    migrateToSparse();
-  }
-  if (DenseMode) {
-    Adj.reserve(PlannedVertices);
-    Edges.reserve(PlannedVertices);
-  } else {
-    Sparse.reserveRows(PlannedVertices);
-    if (PlannedEdges)
-      Sparse.reserveEntries(2 * PlannedEdges);
-  }
-}
-
-bool Graph::addEdge(unsigned U, unsigned V) {
-  assert(U < NumV && V < NumV && "vertex out of range");
-  assert(U != V && "self loops are forbidden");
-  if (DenseMode) {
-    if (Edges.test(U, V))
-      return false;
-    Edges.set(U, V);
-    Adj[U].push_back(V);
-    Adj[V].push_back(U);
-    ++NumEdges;
-    return true;
-  }
-  if (!Sparse.insert(U, V))
-    return false;
-  Sparse.insert(V, U);
-  ++NumEdges;
-  return true;
-}
-
-void Graph::addClique(const std::vector<unsigned> &Vertices) {
-  for (size_t I = 0; I < Vertices.size(); ++I)
-    for (size_t J = I + 1; J < Vertices.size(); ++J)
-      addEdge(Vertices[I], Vertices[J]);
+  return G;
 }
 
 bool Graph::isClique(VertexSpan Vertices) const {
@@ -136,7 +76,7 @@ Graph Graph::quotient(const std::vector<unsigned> &ClassIds,
   assert(ClassIds.size() == numVertices() && "class map has wrong size");
   if (SelfLoop)
     *SelfLoop = false;
-  Graph Result(NumClasses);
+  GraphBuilder Result(NumClasses);
   for (unsigned U = 0; U < numVertices(); ++U) {
     assert(ClassIds[U] < NumClasses && "class id out of range");
     for (unsigned V : neighbors(U)) {
@@ -150,7 +90,7 @@ Graph Graph::quotient(const std::vector<unsigned> &ClassIds,
       Result.addEdge(ClassIds[U], ClassIds[V]);
     }
   }
-  return Result;
+  return std::move(Result).build();
 }
 
 Graph Graph::inducedSubgraph(const std::vector<unsigned> &Vertices,
@@ -161,14 +101,14 @@ Graph Graph::inducedSubgraph(const std::vector<unsigned> &Vertices,
     assert(Map[Vertices[I]] == ~0u && "duplicate vertex in induced set");
     Map[Vertices[I]] = I;
   }
-  Graph Result(static_cast<unsigned>(Vertices.size()));
+  GraphBuilder Result(static_cast<unsigned>(Vertices.size()));
   for (unsigned NewU = 0; NewU < Vertices.size(); ++NewU)
     for (unsigned V : neighbors(Vertices[NewU]))
       if (Map[V] != ~0u && Map[V] > NewU)
         Result.addEdge(NewU, Map[V]);
   if (OldToNew)
     *OldToNew = std::move(Map);
-  return Result;
+  return std::move(Result).build();
 }
 
 std::vector<std::vector<unsigned>> Graph::connectedComponents() const {
@@ -219,24 +159,128 @@ bool Graph::sameComponent(unsigned U, unsigned V) const {
 }
 
 Graph Graph::complete(unsigned N) {
-  Graph G(N);
+  GraphBuilder B(N);
   for (unsigned I = 0; I < N; ++I)
     for (unsigned J = I + 1; J < N; ++J)
-      G.addEdge(I, J);
-  return G;
+      B.addEdge(I, J);
+  return std::move(B).build();
 }
 
 Graph Graph::cycle(unsigned N) {
   assert(N >= 3 && "a cycle needs at least 3 vertices");
-  Graph G(N);
+  GraphBuilder B(N);
   for (unsigned I = 0; I < N; ++I)
-    G.addEdge(I, (I + 1) % N);
-  return G;
+    B.addEdge(I, (I + 1) % N);
+  return std::move(B).build();
 }
 
 Graph Graph::path(unsigned N) {
-  Graph G(N);
+  GraphBuilder B(N);
   for (unsigned I = 0; I + 1 < N; ++I)
-    G.addEdge(I, I + 1);
+    B.addEdge(I, I + 1);
+  return std::move(B).build();
+}
+
+GraphBuilder::GraphBuilder(unsigned NumVertices, unsigned DenseThreshold)
+    : NumV(NumVertices), DenseThreshold(DenseThreshold),
+      Dense(NumVertices <= DenseThreshold) {
+  if (Dense) {
+    Matrix.reset(NumV);
+    Degree.assign(NumV, 0);
+  }
+}
+
+GraphBuilder::GraphBuilder(const Graph &G) : GraphBuilder(G.numVertices()) {
+  for (unsigned U = 0; U < NumV; ++U)
+    for (unsigned V : G.neighbors(U))
+      if (V > U)
+        addEdge(U, V);
+}
+
+unsigned GraphBuilder::addVertices(unsigned Count) {
+  unsigned First = NumV;
+  if (Dense && NumV + Count > DenseThreshold)
+    dropMatrix();
+  NumV += Count;
+  if (Dense) {
+    Matrix.grow(NumV);
+    Degree.resize(NumV, 0);
+  }
+  return First;
+}
+
+void GraphBuilder::dropMatrix() {
+  for (unsigned Hi = 1; Hi < NumV; ++Hi)
+    Matrix.forEachBelow(Hi, [&](unsigned Lo) { Pairs.push_back({Lo, Hi}); });
+  Matrix.reset(0);
+  std::vector<unsigned>().swap(Degree);
+  Dense = false;
+}
+
+void GraphBuilder::addClique(VertexSpan Vertices) {
+  for (size_t I = 0; I < Vertices.size(); ++I)
+    for (size_t J = I + 1; J < Vertices.size(); ++J)
+      addEdge(Vertices[I], Vertices[J]);
+}
+
+Graph GraphBuilder::build() && {
+  if (Dense) {
+    // Walking the triangle row by row emits (Hi, Lo) pairs in
+    // lexicographic order, each edge once.
+    Graph G = Graph::freeze(NumV, Degree, [&](auto Emit) {
+      for (unsigned Hi = 1; Hi < NumV; ++Hi)
+        Matrix.forEachBelow(Hi, [&](unsigned Lo) { Emit(Hi, Lo); });
+    });
+    G.Dense = true;
+    G.Edges = std::move(Matrix);
+    return G;
+  }
+  // Two counting passes sort the pairs: by Lo into ByLo, then by Hi into
+  // Down, scanning Lo ascending so that each vertex's row of smaller
+  // neighbors comes out ascending with its repeats adjacent.
+  std::vector<size_t> LoStart(static_cast<size_t>(NumV) + 1, 0);
+  std::vector<size_t> HiStart(static_cast<size_t>(NumV) + 1, 0);
+  for (const auto &[Lo, Hi] : Pairs) {
+    ++LoStart[Lo + 1];
+    ++HiStart[Hi + 1];
+  }
+  for (unsigned V = 0; V < NumV; ++V) {
+    LoStart[V + 1] += LoStart[V];
+    HiStart[V + 1] += HiStart[V];
+  }
+  std::vector<unsigned> ByLo(Pairs.size());
+  {
+    std::vector<size_t> Cursor(LoStart.begin(), LoStart.end() - 1);
+    for (const auto &[Lo, Hi] : Pairs)
+      ByLo[Cursor[Lo]++] = Hi;
+  }
+  std::vector<std::pair<unsigned, unsigned>>().swap(Pairs);
+  std::vector<unsigned> Down(ByLo.size());
+  {
+    std::vector<size_t> Cursor(HiStart.begin(), HiStart.end() - 1);
+    for (unsigned Lo = 0; Lo < NumV; ++Lo)
+      for (size_t I = LoStart[Lo]; I < LoStart[Lo + 1]; ++I)
+        Down[Cursor[ByLo[I]]++] = Lo;
+  }
+  std::vector<unsigned>().swap(ByLo);
+  // Drop repeats in place; DownEnd[Hi] ends Hi's deduplicated run.
+  std::vector<unsigned> Deg(NumV, 0);
+  std::vector<size_t> DownEnd(NumV);
+  for (unsigned Hi = 0; Hi < NumV; ++Hi) {
+    size_t Out = HiStart[Hi];
+    for (size_t I = HiStart[Hi]; I < HiStart[Hi + 1]; ++I) {
+      if (Out != HiStart[Hi] && Down[Out - 1] == Down[I])
+        continue;
+      Down[Out++] = Down[I];
+      ++Deg[Down[I]];
+    }
+    DownEnd[Hi] = Out;
+    Deg[Hi] += static_cast<unsigned>(Out - HiStart[Hi]);
+  }
+  Graph G = Graph::freeze(NumV, Deg, [&](auto Emit) {
+    for (unsigned Hi = 0; Hi < NumV; ++Hi)
+      for (size_t I = HiStart[Hi]; I < DownEnd[Hi]; ++I)
+        Emit(Hi, Down[I]);
+  });
   return G;
 }

@@ -9,81 +9,56 @@
 /// interference graphs (Section 2.1 of Bouchez, Darte, Rastello, "On the
 /// Complexity of Register Coalescing"). Vertices are dense unsigned ids.
 ///
-/// The representation is hybrid, chosen by vertex count against a dense
-/// threshold:
-///  - Dense (<= threshold): per-vertex adjacency vectors in insertion
-///    order plus a triangular bit matrix for O(1) hasEdge. 4096 vertices
-///    cost one megabyte of matrix; byte-compatible with the historical
-///    representation, so solvers and golden outputs are unchanged.
-///  - Sparse (> threshold): arena-backed CSR adjacency — all neighbor
-///    lists in one pooled array, each row sorted ascending, hasEdge a
-///    binary search. A million-vertex graph costs O(V + E) memory instead
-///    of the matrix's N^2/2 bits (~62 GB at 10^6).
-/// A graph that grows past the threshold via addVertex/addVertices
-/// migrates to the sparse form automatically; neighbor lists switch from
-/// insertion order to sorted ascending at that point.
+/// A Graph is immutable. A GraphBuilder collects vertices and edges in any
+/// order and build() freezes them once into sorted CSR rows: one offsets
+/// array and one neighbor array, each row strictly ascending. The rows are
+/// a function of the edge set alone, so every reader that walks
+/// neighbors() (IRC's adjacency lists, greedy elimination, the canonical
+/// instance encodings) sees the same order however the edges were
+/// inserted. Up to DefaultDenseThreshold vertices a triangular bit matrix
+/// (one megabyte at 4096) additionally answers hasEdge in O(1); above it
+/// hasEdge is a binary search of the shorter row and memory stays
+/// O(V + E).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRAPH_GRAPH_H
 #define GRAPH_GRAPH_H
 
-#include "support/AdjacencyArena.h"
 #include "support/BitMatrix.h"
 #include "support/VertexSpan.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
 namespace rc {
 
-/// An undirected simple graph over vertices 0..numVertices()-1.
+/// An immutable undirected simple graph over vertices 0..numVertices()-1.
 class Graph {
 public:
-  /// Largest vertex count stored densely (adjacency vectors + bit matrix).
+  /// Largest vertex count that keeps the hasEdge bit matrix.
   static constexpr unsigned DefaultDenseThreshold = 4096;
 
-  /// Creates a graph with \p NumVertices isolated vertices.
-  explicit Graph(unsigned NumVertices = 0,
-                 unsigned DenseThreshold = DefaultDenseThreshold)
-      : NumV(NumVertices), DenseThreshold(DenseThreshold),
-        DenseMode(NumVertices <= DenseThreshold) {
-    if (DenseMode) {
-      Adj.resize(NumVertices);
-      Edges.reset(NumVertices);
-    } else {
-      Sparse.reset(NumVertices);
-    }
-  }
-
-  /// Adds a new isolated vertex and returns its id.
-  unsigned addVertex();
-
-  /// Adds \p Count new isolated vertices; returns the id of the first one.
-  unsigned addVertices(unsigned Count);
-
-  /// Pre-sizes internal storage for growth up to \p PlannedVertices total
-  /// vertices (and, in sparse mode, optionally \p PlannedEdges edges), so
-  /// incremental building is not quadratic in allocations. If the plan
-  /// exceeds the dense threshold the graph switches to the sparse
-  /// representation immediately instead of migrating mid-build.
-  void reserveVertices(unsigned PlannedVertices, size_t PlannedEdges = 0);
-
-  /// Adds the undirected edge (\p U, \p V).
-  ///
-  /// Self loops are forbidden. \returns true if the edge was new.
-  bool addEdge(unsigned U, unsigned V);
+  /// The empty graph.
+  Graph() = default;
 
   /// Returns true if the edge (\p U, \p V) exists. The diagonal is false.
   bool hasEdge(unsigned U, unsigned V) const {
-    if (DenseMode)
+    if (Dense)
       return Edges.test(U, V);
     assert(U < NumV && V < NumV && "vertex out of range");
     if (U == V)
       return false;
     // Probe the lower-degree endpoint's row.
-    return Sparse.rowSize(U) <= Sparse.rowSize(V) ? Sparse.contains(U, V)
-                                                  : Sparse.contains(V, U);
+    if (degree(U) > degree(V))
+      std::swap(U, V);
+    VertexSpan Row = neighbors(U);
+    const unsigned *It = std::lower_bound(Row.begin(), Row.end(), V);
+    return It != Row.end() && *It == V;
   }
 
   /// Returns the number of vertices.
@@ -92,26 +67,23 @@ public:
   /// Returns the number of edges.
   unsigned numEdges() const { return NumEdges; }
 
-  /// True while the dense (bit matrix) representation is active.
-  bool usesDenseRepresentation() const { return DenseMode; }
+  /// True when hasEdge is answered by the bit matrix rather than a binary
+  /// search of the rows.
+  bool usesDenseRepresentation() const { return Dense; }
 
   /// Returns the degree of \p V.
   unsigned degree(unsigned V) const {
     assert(V < NumV && "vertex out of range");
-    return DenseMode ? static_cast<unsigned>(Adj[V].size())
-                     : Sparse.rowSize(V);
+    return static_cast<unsigned>(RowStart[V + 1] - RowStart[V]);
   }
 
-  /// Returns the neighbors of \p V — insertion order in dense mode, sorted
-  /// ascending in sparse mode. The span is invalidated by any mutation of
-  /// the graph.
+  /// Returns the neighbors of \p V, strictly ascending. The span lives as
+  /// long as the graph.
   VertexSpan neighbors(unsigned V) const {
     assert(V < NumV && "vertex out of range");
-    return DenseMode ? VertexSpan(Adj[V]) : Sparse.row(V);
+    return VertexSpan(Nbrs.data() + RowStart[V],
+                      RowStart[V + 1] - RowStart[V]);
   }
-
-  /// Adds all edges among \p Vertices, turning them into a clique.
-  void addClique(const std::vector<unsigned> &Vertices);
 
   /// Returns true if \p Vertices induce a complete subgraph.
   bool isClique(VertexSpan Vertices) const;
@@ -147,10 +119,7 @@ public:
   /// little-endian (u32 u, u32 v) pairs with u < v, sorted
   /// lexicographically ascending — the edge-array layout of the RCBF
   /// binary instance format. The caller must have validated ranges and
-  /// ordering. Above the dense threshold this constructs the CSR rows
-  /// directly (two linear passes, no per-edge sorted inserts): because
-  /// the input is sorted with u < v, emitting both directions in file
-  /// order fills every row in ascending order already.
+  /// ordering. The pairs feed the same row fill as GraphBuilder::build().
   static Graph fromSortedEdges(unsigned NumVertices,
                                const unsigned char *PairsLE, size_t NumEdges,
                                unsigned DenseThreshold = DefaultDenseThreshold);
@@ -165,19 +134,89 @@ public:
   static Graph path(unsigned N);
 
 private:
-  /// One-way dense -> sparse migration when growth crosses the threshold.
-  void migrateToSparse();
+  friend class GraphBuilder;
+
+  /// Freezes the rows of a graph without the hasEdge matrix; the caller
+  /// attaches one if it keeps it. \p Degree holds each vertex's final
+  /// degree, and \p ForEachEdge(Emit) calls Emit(A, B) once per edge in
+  /// lexicographic (A, B) order, with A on the same side of B for every
+  /// edge (all A < B, or all A > B). Appending both directions in that
+  /// order leaves every row ascending: row W gets its neighbors on one
+  /// side of W, in order, from the edges led by W, and those on the other
+  /// side, also in order, from the edges led by them.
+  template <typename EdgeWalk>
+  static Graph freeze(unsigned NumVertices, const std::vector<unsigned> &Degree,
+                      EdgeWalk ForEachEdge);
 
   unsigned NumV = 0;
-  unsigned DenseThreshold = DefaultDenseThreshold;
-  bool DenseMode = true;
   unsigned NumEdges = 0;
-  /// Dense mode: per-vertex neighbor lists in insertion order.
-  std::vector<std::vector<unsigned>> Adj;
-  /// Dense mode: triangular bit matrix for O(1) hasEdge.
+  bool Dense = true;
+  /// Row V is Nbrs[RowStart[V] .. RowStart[V + 1]), strictly ascending.
+  std::vector<size_t> RowStart{0};
+  std::vector<unsigned> Nbrs;
+  /// Triangular hasEdge matrix; sized only while Dense.
   BitMatrix Edges;
-  /// Sparse mode: pooled sorted adjacency rows.
-  AdjacencyArena Sparse;
+};
+
+/// Collects the vertices and edges of a Graph in any order. build()
+/// consumes it and freezes them once, deduplicating repeated edges. Up to
+/// the dense threshold it keeps the bit matrix that the graph will answer
+/// hasEdge with, so a repeated edge is dropped on arrival; above it edges
+/// are collected as pairs and deduplicated by the freeze.
+class GraphBuilder {
+public:
+  /// Starts from \p NumVertices isolated vertices. A graph of at most
+  /// \p DenseThreshold vertices keeps the hasEdge bit matrix.
+  explicit GraphBuilder(unsigned NumVertices = 0,
+                        unsigned DenseThreshold = Graph::DefaultDenseThreshold);
+
+  /// Starts from the vertices and edges of \p G.
+  explicit GraphBuilder(const Graph &G);
+
+  /// Returns the number of vertices so far.
+  unsigned numVertices() const { return NumV; }
+
+  /// Adds \p Count isolated vertices; returns the id of the first one.
+  unsigned addVertices(unsigned Count);
+
+  /// Adds the undirected edge (\p U, \p V). Self loops are forbidden; a
+  /// repeated edge is kept once.
+  void addEdge(unsigned U, unsigned V) {
+    assert(U < NumV && V < NumV && "vertex out of range");
+    assert(U != V && "self loops are forbidden");
+    if (!Dense) {
+      Pairs.push_back(U < V ? std::make_pair(U, V) : std::make_pair(V, U));
+      return;
+    }
+    if (Matrix.test(U, V))
+      return;
+    Matrix.set(U, V);
+    ++Degree[U];
+    ++Degree[V];
+  }
+
+  /// Adds all edges among \p Vertices, turning them into a clique.
+  void addClique(VertexSpan Vertices);
+  void addClique(std::initializer_list<unsigned> Vertices) {
+    addClique(VertexSpan(Vertices.begin(), Vertices.size()));
+  }
+
+  /// Freezes the graph into sorted rows.
+  Graph build() &&;
+
+private:
+  /// Moves the matrix's edges into Pairs once the vertex count passes the
+  /// dense threshold.
+  void dropMatrix();
+
+  unsigned NumV = 0;
+  unsigned DenseThreshold = Graph::DefaultDenseThreshold;
+  bool Dense = true;
+  /// Dense: the edge set and the degrees.
+  BitMatrix Matrix;
+  std::vector<unsigned> Degree;
+  /// Sparse: (lo, hi) pairs in arrival order, repeats included.
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
 };
 
 } // namespace rc

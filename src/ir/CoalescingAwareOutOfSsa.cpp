@@ -22,7 +22,7 @@ ir::lowerOutOfSsaWithCoalescing(Function &F, OutOfSsaCoalescing Mode) {
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
-  P.K = IG.Maxlive;
+  P.K = computeMaxlive(F);
   CoalescingSolution Solution;
   if (Mode == OutOfSsaCoalescing::Aggressive)
     Solution = aggressiveCoalesceGreedy(P).Solution;

@@ -11,14 +11,8 @@ using namespace rc::ir;
 InterferenceGraph ir::buildInterferenceGraph(const Function &F,
                                              InterferenceMode Mode) {
   InterferenceGraph Result;
-  Result.G = Graph(F.numValues());
+  GraphBuilder G(F.numValues());
   Liveness L = Liveness::compute(F);
-  Result.Maxlive = computeMaxlive(F, L);
-  // Interference edges are bounded by maxlive per program point; reserving
-  // maxlive entries per value pre-sizes the sparse arena in one shot.
-  Result.G.reserveVertices(F.numValues(),
-                           static_cast<size_t>(Result.Maxlive) *
-                               F.numValues());
 
   std::vector<unsigned> EntryVec; // Phi-entry clique, reused per block.
   for (BlockId B = 0; B < F.numBlocks(); ++B) {
@@ -36,7 +30,7 @@ InterferenceGraph ir::buildInterferenceGraph(const Function &F,
                 : NoValue;
         Live.forEach([&](unsigned V) {
           if (V != I.Dst && V != CopySrc)
-            Result.G.addEdge(I.Dst, V);
+            G.addEdge(I.Dst, V);
         });
         Live.reset(I.Dst);
       }
@@ -54,9 +48,10 @@ InterferenceGraph ir::buildInterferenceGraph(const Function &F,
         Entry.set(Phi.Dst);
       EntryVec.clear();
       Entry.forEach([&EntryVec](unsigned V) { EntryVec.push_back(V); });
-      Result.G.addClique(EntryVec);
+      G.addClique(EntryVec);
     }
   }
+  Result.G = std::move(G).build();
 
   // Affinities: copies and phi args, deduplicated, weights accumulated.
   std::map<std::pair<ValueId, ValueId>, double> Weights;

@@ -47,8 +47,6 @@ struct InterferenceGraph {
   /// Deduplicated affinities with accumulated frequency weights. Affinities
   /// whose endpoints interfere (constrained moves) are dropped.
   std::vector<Affinity> Affinities;
-  /// Maxlive of the function.
-  unsigned Maxlive = 0;
 };
 
 /// Builds the interference graph of \p F.

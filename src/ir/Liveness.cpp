@@ -62,6 +62,10 @@ Liveness Liveness::compute(const Function &F) {
   return Result;
 }
 
+unsigned ir::computeMaxlive(const Function &F) {
+  return computeMaxlive(F, Liveness::compute(F));
+}
+
 unsigned ir::computeMaxlive(const Function &F, const Liveness &L) {
   unsigned Max = 0;
   for (BlockId B = 0; B < F.numBlocks(); ++B) {

@@ -58,6 +58,9 @@ private:
 /// block-entry point together with the values live through them.
 unsigned computeMaxlive(const Function &F, const Liveness &L);
 
+/// Computes Maxlive of \p F, computing its liveness first.
+unsigned computeMaxlive(const Function &F);
+
 } // namespace ir
 } // namespace rc
 

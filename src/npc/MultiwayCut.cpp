@@ -106,11 +106,12 @@ MultiwayCutInstance rc::randomMultiwayCutInstance(unsigned NumVertices,
                                                   Rng &Rand) {
   assert(NumTerminals <= NumVertices && "more terminals than vertices");
   MultiwayCutInstance Instance;
-  Instance.G = Graph(NumVertices);
+  GraphBuilder G(NumVertices);
   for (unsigned U = 0; U < NumVertices; ++U)
     for (unsigned V = U + 1; V < NumVertices; ++V)
       if (Rand.flip(EdgeProbability))
-        Instance.G.addEdge(U, V);
+        G.addEdge(U, V);
+  Instance.G = std::move(G).build();
   std::vector<unsigned> Perm = Rand.permutation(NumVertices);
   Instance.Terminals.assign(Perm.begin(), Perm.begin() + NumTerminals);
   return Instance;

@@ -16,12 +16,13 @@ Theorem2Reduction::build(const MultiwayCutInstance &Instance) {
         R.OriginalEdges.emplace_back(U, V);
   unsigned NumEdges = static_cast<unsigned>(R.OriginalEdges.size());
 
-  R.Problem.G = Graph(N + NumEdges);
   for (unsigned E = 0; E < NumEdges; ++E)
     R.SubdivisionVertex.push_back(N + E);
 
   // Interferences: a clique on the terminals only.
-  R.Problem.G.addClique(Instance.Terminals);
+  GraphBuilder G(N + NumEdges);
+  G.addClique(Instance.Terminals);
+  R.Problem.G = std::move(G).build();
 
   // Affinities: both halves of every subdivided edge, unit weight.
   for (unsigned E = 0; E < NumEdges; ++E) {

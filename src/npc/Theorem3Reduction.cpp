@@ -15,16 +15,17 @@ Theorem3Reduction Theorem3Reduction::build(const Graph &H, unsigned K) {
   unsigned NumEdges = static_cast<unsigned>(R.OriginalEdges.size());
 
   R.Problem.K = K;
-  R.Problem.G = Graph(N + 2 * NumEdges);
+  GraphBuilder G(N + 2 * NumEdges);
   for (unsigned E = 0; E < NumEdges; ++E) {
     unsigned XE = N + 2 * E, YE = N + 2 * E + 1;
     R.EdgeGadgets.emplace_back(XE, YE);
-    R.Problem.G.addEdge(XE, YE);
+    G.addEdge(XE, YE);
     auto [U, V] = R.OriginalEdges[E];
     R.Problem.Affinities.push_back({U, XE, 1.0});
     R.Problem.Affinities.push_back({YE, V, 1.0});
   }
 
+  R.Problem.G = std::move(G).build();
   R.Problem.Names.resize(R.Problem.G.numVertices());
   for (unsigned U = 0; U < N; ++U)
     R.Problem.Names[U] = std::string("v").append(std::to_string(U));

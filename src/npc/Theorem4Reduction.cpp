@@ -60,19 +60,19 @@ SatColoringGadget SatColoringGadget::build(const CnfFormula &F) {
     NumAux += 3 * static_cast<unsigned>(Clause.size() - 1);
   }
   unsigned FirstAux = 3 + 2 * F.NumVars;
-  Gadget.G = Graph(FirstAux + NumAux);
+  GraphBuilder G(FirstAux + NumAux);
   Gadget.TVertex = 0;
   Gadget.FVertex = 1;
   Gadget.RVertex = 2;
-  Gadget.G.addClique({0, 1, 2});
+  G.addClique({0, 1, 2});
 
   Gadget.LiteralVertices.assign(F.NumVars + 1, {~0u, ~0u});
   for (unsigned V = 1; V <= F.NumVars; ++V) {
     unsigned Pos = 3 + 2 * (V - 1), Neg = Pos + 1;
     Gadget.LiteralVertices[V] = {Pos, Neg};
-    Gadget.G.addEdge(Pos, Neg);
-    Gadget.G.addEdge(Pos, Gadget.RVertex);
-    Gadget.G.addEdge(Neg, Gadget.RVertex);
+    G.addEdge(Pos, Neg);
+    G.addEdge(Pos, Gadget.RVertex);
+    G.addEdge(Neg, Gadget.RVertex);
   }
 
   auto Chains = layoutChains(F, Gadget, FirstAux);
@@ -86,19 +86,20 @@ SatColoringGadget SatColoringGadget::build(const CnfFormula &F) {
                          : Gadget.LiteralVertices[Var].second;
     } else {
       for (const OrGadget &Or : Chains[C]) {
-        Gadget.G.addEdge(Or.A1, Or.A2);
-        Gadget.G.addEdge(Or.A1, Or.Out);
-        Gadget.G.addEdge(Or.A2, Or.Out);
-        Gadget.G.addEdge(Or.InA, Or.A1);
-        Gadget.G.addEdge(Or.InB, Or.A2);
+        G.addEdge(Or.A1, Or.A2);
+        G.addEdge(Or.A1, Or.Out);
+        G.addEdge(Or.A2, Or.Out);
+        G.addEdge(Or.InA, Or.A1);
+        G.addEdge(Or.InB, Or.A2);
       }
       FinalOut = Chains[C].back().Out;
     }
     // The clause output may not be F (adjacent to F) and, via R, is pinned
     // into the {T, F} plane; together they force it to T's color.
-    Gadget.G.addEdge(FinalOut, Gadget.FVertex);
-    Gadget.G.addEdge(FinalOut, Gadget.RVertex);
+    G.addEdge(FinalOut, Gadget.FVertex);
+    G.addEdge(FinalOut, Gadget.RVertex);
   }
+  Gadget.G = std::move(G).build();
   return Gadget;
 }
 

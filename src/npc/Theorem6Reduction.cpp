@@ -11,8 +11,7 @@ Theorem6Reduction Theorem6Reduction::build(const Graph &G) {
   R.NumInputVertices = G.numVertices();
   unsigned N = G.numVertices();
   R.Problem.K = 4;
-  R.Problem.G = Graph(N * StructureSize);
-  Graph &H = R.Problem.G;
+  GraphBuilder H(N * StructureSize);
 
   for (unsigned V = 0; V < N; ++V) {
     assert(G.degree(V) <= 3 &&
@@ -62,6 +61,7 @@ Theorem6Reduction Theorem6Reduction::build(const Graph &G) {
       unsigned BV = V * StructureSize + 9 + NextBranch[V]++;
       H.addEdge(BU, BV);
     }
+  R.Problem.G = std::move(H).build();
   return R;
 }
 

@@ -152,13 +152,17 @@ rc::solveWeightedVertexCoverExact(const Graph &G,
 
 Graph rc::randomBoundedDegreeGraph(unsigned NumVertices, unsigned MaxDegree,
                                    double EdgeProbability, Rng &Rand) {
-  Graph G(NumVertices);
+  GraphBuilder G(NumVertices);
+  std::vector<unsigned> Degree(NumVertices, 0);
   for (unsigned U = 0; U < NumVertices; ++U)
     for (unsigned V = U + 1; V < NumVertices; ++V) {
-      if (G.degree(U) >= MaxDegree || G.degree(V) >= MaxDegree)
+      if (Degree[U] >= MaxDegree || Degree[V] >= MaxDegree)
         continue;
-      if (Rand.flip(EdgeProbability))
+      if (Rand.flip(EdgeProbability)) {
         G.addEdge(U, V);
+        ++Degree[U];
+        ++Degree[V];
+      }
     }
-  return G;
+  return std::move(G).build();
 }

@@ -6,32 +6,29 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 using namespace rc;
 
 std::string rc::canonicalRequestKey(const CoalescingProblem &P,
                                     const std::string &Spec) {
   // Absorb a canonical rendering of the instance: sorted (u < v) edges so
-  // two graphs with the same edge set hash identically whatever order their
-  // adjacency was built in, affinities in list order (list order is part of
-  // the instance), then the spec. The leading tag versions the key schema;
-  // bump it if the absorbed fields ever change.
+  // two graphs with the same edge set hash identically whatever order they
+  // were built in, affinities in list order (list order is part of the
+  // instance), then the spec. Graph rows are ascending, so walking them
+  // with v > u yields the sorted edge list. The leading tag versions the
+  // key schema; bump it if the absorbed fields ever change.
   Digest128 D;
   D.updateString("rckey1");
   D.updateU32(P.K);
   D.updateU32(P.G.numVertices());
-  std::vector<std::pair<uint32_t, uint32_t>> Edges;
-  Edges.reserve(P.G.numEdges());
-  for (unsigned U = 0; U < P.G.numVertices(); ++U)
-    for (unsigned V : P.G.neighbors(U))
-      if (V > U)
-        Edges.push_back({U, V});
-  std::sort(Edges.begin(), Edges.end());
-  D.updateU64(Edges.size());
-  for (const auto &[U, V] : Edges) {
-    D.updateU32(U);
-    D.updateU32(V);
+  D.updateU64(P.G.numEdges());
+  for (unsigned U = 0; U < P.G.numVertices(); ++U) {
+    VertexSpan Row = P.G.neighbors(U);
+    for (const unsigned *V = std::upper_bound(Row.begin(), Row.end(), U);
+         V != Row.end(); ++V) {
+      D.updateU32(U);
+      D.updateU32(*V);
+    }
   }
   D.updateU64(P.Affinities.size());
   for (const Affinity &A : P.Affinities) {

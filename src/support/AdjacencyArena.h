@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Arena-backed CSR-style adjacency storage for the sparse modes of
-/// graph/Graph and coalescing/WorkGraph. All neighbor lists live in one
-/// contiguous pool; each row is a (offset, size, capacity) triple into it,
+/// Arena-backed CSR-style adjacency storage for the sparse mode of
+/// coalescing/WorkGraph, whose class rows change as merges run and roll
+/// back. (graph/Graph is immutable and keeps plain CSR rows.) All neighbor
+/// lists live in one contiguous pool; each row is a (offset, size, capacity) triple into it,
 /// kept sorted ascending so membership is a binary search and set algebra
 /// runs on merges of sorted runs.
 ///
@@ -49,26 +50,8 @@ public:
     Live = 0;
   }
 
-  unsigned numRows() const { return static_cast<unsigned>(Rows.size()); }
-
-  /// Appends \p Count empty rows; returns the index of the first one.
-  unsigned addRows(unsigned Count) {
-    unsigned First = numRows();
-    Rows.resize(Rows.size() + Count);
-    return First;
-  }
-
-  /// Reserves row-table capacity for \p NumRows total rows.
-  void reserveRows(unsigned NumRows) { Rows.reserve(NumRows); }
-
   /// Reserves pool capacity for \p Entries total neighbor entries.
   void reserveEntries(size_t Entries) { Pool.reserve(Entries); }
-
-  /// Entries currently stored across all rows.
-  size_t liveEntries() const { return Live; }
-
-  /// Current pool footprint in entries, retired extents and slack included.
-  size_t poolEntries() const { return Pool.size(); }
 
   unsigned rowSize(unsigned R) const {
     assert(R < Rows.size() && "row out of range");
@@ -135,7 +118,7 @@ public:
   }
 
   /// Replaces the row's contents with \p Sorted (strictly ascending).
-  void assignRow(unsigned R, const std::vector<unsigned> &Sorted) {
+  void assignRow(unsigned R, VertexSpan Sorted) {
     assert(R < Rows.size() && "row out of range");
     if (Sorted.size() > Rows[R].Cap)
       relocate(R, static_cast<unsigned>(Sorted.size()));
@@ -145,33 +128,6 @@ public:
     Live -= Rw.Size;
     Rw.Size = static_cast<unsigned>(Sorted.size());
     maybeCompact();
-  }
-
-  /// Rebuilds the whole arena as an exact CSR with the given per-row
-  /// sizes: rows packed in id order, capacity == size, contents
-  /// zero-initialized. The caller fills each row through rowData() and
-  /// must leave it sorted strictly ascending. This is the bulk entry
-  /// point for loaders that already know the full degree sequence (the
-  /// zero-copy binary reader) — one allocation instead of per-edge
-  /// inserts.
-  void assignCsrRows(const std::vector<unsigned> &Sizes) {
-    Rows.assign(Sizes.size(), Row());
-    size_t Total = 0;
-    for (size_t R = 0; R < Sizes.size(); ++R) {
-      Rows[R].Offset = Total;
-      Rows[R].Size = Sizes[R];
-      Rows[R].Cap = Sizes[R];
-      Total += Sizes[R];
-    }
-    Pool.assign(Total, 0);
-    Live = Total;
-  }
-
-  /// Mutable access to a row's storage, for filling after assignCsrRows.
-  /// The row must end up sorted strictly ascending before any other call.
-  unsigned *rowData(unsigned R) {
-    assert(R < Rows.size() && "row out of range");
-    return Pool.data() + Rows[R].Offset;
   }
 
   /// Empties the row. Its extent becomes reclaimable garbage.

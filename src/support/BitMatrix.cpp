@@ -20,11 +20,6 @@ void BitMatrix::grow(unsigned NewN) {
   Words.resize(static_cast<size_t>((Bits + 63) / 64), 0);
 }
 
-void BitMatrix::reserve(unsigned PlannedN) {
-  uint64_t Bits = uint64_t(PlannedN) * (PlannedN ? PlannedN - 1 : 0) / 2;
-  Words.reserve(static_cast<size_t>((Bits + 63) / 64));
-}
-
 unsigned BitMatrix::count() const {
   unsigned Total = 0;
   for (uint64_t W : Words)

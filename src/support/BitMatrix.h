@@ -14,7 +14,9 @@
 #ifndef SUPPORT_BITMATRIX_H
 #define SUPPORT_BITMATRIX_H
 
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,10 +35,6 @@ public:
   /// The triangular index of a pair only depends on the pair itself, so
   /// growing never relocates existing bits.
   void grow(unsigned NewN);
-
-  /// Reserves storage for \p PlannedN rows/columns without growing, so a
-  /// sequence of grow() calls up to that size performs one allocation.
-  void reserve(unsigned PlannedN);
 
   /// Returns the number of rows (= columns).
   unsigned size() const { return N; }
@@ -66,6 +64,26 @@ public:
 
   /// Returns the number of set bits (i.e. the number of edges).
   unsigned count() const;
+
+  /// Calls \p F(J) for every J < \p I whose bit (\p I, J) is set, in
+  /// ascending J. Those bits are one contiguous run of the triangle, so the
+  /// walk reads I / 64 + 2 words at most.
+  template <typename Fn> void forEachBelow(unsigned I, Fn F) const {
+    assert(I < N && "index out of range");
+    if (I == 0)
+      return;
+    size_t Begin = index(I, 0), End = Begin + I;
+    size_t First = Begin >> 6, Last = (End - 1) >> 6;
+    for (size_t W = First; W <= Last; ++W) {
+      uint64_t Bits = Words[W];
+      if (W == First)
+        Bits &= ~uint64_t(0) << (Begin & 63);
+      if (W == Last && (End & 63))
+        Bits &= (uint64_t(1) << (End & 63)) - 1;
+      for (; Bits; Bits &= Bits - 1)
+        F(static_cast<unsigned>(W * 64 + std::countr_zero(Bits) - Begin));
+    }
+  }
 
 private:
   /// Maps the unordered pair {I, J}, I != J, to a dense triangular index.

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A non-owning view over a contiguous run of vertex ids. The hybrid graph
-/// representations (graph/Graph, coalescing/WorkGraph) hand out neighbor
-/// lists that live either in per-vertex std::vectors (dense mode) or in a
-/// shared adjacency arena (sparse mode); VertexSpan is the common currency
-/// so callers are representation-agnostic.
+/// A non-owning view over a contiguous run of vertex ids. graph/Graph hands
+/// out its CSR rows and coalescing/WorkGraph its class rows (per-class
+/// vectors in dense mode, a shared adjacency arena in sparse mode) as
+/// VertexSpans, so callers are representation-agnostic.
 ///
 /// Validity: a span borrows storage owned by the graph it came from. It is
 /// invalidated by any mutation of that graph (adding edges or vertices,

@@ -2,7 +2,10 @@
 
 #include "testing/Oracles.h"
 
+#include "challenge/ChallengeBinary.h"
+#include "challenge/ChallengeFormat.h"
 #include "challenge/StrategyRegistry.h"
+#include "challenge/StrategyRunner.h"
 #include "coalescing/ChordalIncremental.h"
 #include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
@@ -23,6 +26,7 @@
 #include <cassert>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 using namespace rc;
 using namespace rc::testing;
@@ -48,9 +52,10 @@ bool testing::checkSsaChordalMaxlive(const ir::Function &F, std::string *Error,
     return fail(Error, "strict-SSA interference graph is not chordal");
 
   unsigned Omega = IG.G.numVertices() ? chordalCliqueNumber(IG.G) : 0;
-  if (Omega != IG.Maxlive) {
+  unsigned Maxlive = ir::computeMaxlive(F);
+  if (Omega != Maxlive) {
     std::ostringstream OS;
-    OS << "omega(G) = " << Omega << " but Maxlive = " << IG.Maxlive;
+    OS << "omega(G) = " << Omega << " but Maxlive = " << Maxlive;
     return fail(Error, OS.str());
   }
   if (IG.G.numVertices() > 0 && IG.G.numVertices() <= BruteForceLimit) {
@@ -888,5 +893,60 @@ bool testing::checkMergeColorabilityParity(const Graph &G, unsigned K,
       TS.ColorabilityChecks != 2 * Probes)
     return fail(Error, "merge-colorability-parity: colorability checks "
                        "not counted once per call");
+  return true;
+}
+
+bool testing::checkOrderInvariance(const CoalescingProblem &P, Rng &Rand,
+                                   std::string *Error) {
+  std::vector<std::pair<unsigned, unsigned>> Edges;
+  for (unsigned U = 0; U < P.G.numVertices(); ++U)
+    for (unsigned V : P.G.neighbors(U))
+      if (U < V)
+        Edges.push_back({V, U});
+  auto rebuilt = [&P, &Edges] {
+    CoalescingProblem Q = P;
+    GraphBuilder B(P.G.numVertices());
+    for (auto [U, V] : Edges)
+      B.addEdge(U, V);
+    Q.G = std::move(B).build();
+    return Q;
+  };
+  std::vector<std::pair<const char *, CoalescingProblem>> Variants;
+  std::reverse(Edges.begin(), Edges.end());
+  Variants.emplace_back("reversed edge order", rebuilt());
+  for (size_t I = Edges.size(); I > 1; --I)
+    std::swap(Edges[I - 1], Edges[Rand.nextBelow(I)]);
+  Variants.emplace_back("shuffled edge order", rebuilt());
+  std::string ReadError;
+  std::ostringstream Text, Binary;
+  writeChallenge(Text, P);
+  writeChallengeBinary(Binary, P);
+  for (auto [Name, Bytes] : {std::pair{"text round trip", Text.str()},
+                             std::pair{"RCBF round trip", Binary.str()}}) {
+    std::istringstream In(Bytes);
+    CoalescingProblem Q;
+    if (!readChallengeAuto(In, Q, &ReadError))
+      return fail(Error, std::string("order-invariance: ") + Name +
+                             " failed to read: " + ReadError);
+    Variants.emplace_back(Name, std::move(Q));
+  }
+
+  auto outcomeBytes = [](const CoalescingProblem &Q,
+                         const StrategyInfo &Info) {
+    RunRequest Request;
+    Request.Problem = &Q;
+    Request.Strategy = &Info;
+    std::ostringstream OS;
+    writeOutcomeJson(OS, runStrategy(Request).Outcome,
+                     /*IncludeTiming=*/false);
+    return OS.str();
+  };
+  for (const StrategyInfo &Info : StrategyRegistry::instance().strategies()) {
+    std::string Want = outcomeBytes(P, Info);
+    for (const auto &[Name, Q] : Variants)
+      if (outcomeBytes(Q, Info) != Want)
+        return fail(Error, "order-invariance: " + Info.Name + ": " + Name +
+                               " changes the outcome");
+  }
   return true;
 }

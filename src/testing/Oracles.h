@@ -188,6 +188,14 @@ bool checkSparseTiledParity(const Graph &G, unsigned K, unsigned Steps,
 bool checkMergeColorabilityParity(const Graph &G, unsigned K, unsigned Steps,
                                   Rng &Rand, std::string *Error);
 
+/// Oracle 9. An answer is a function of the instance: \p P's edges rebuilt
+/// in reversed insertion order, in an order shuffled by \p Rand (each with
+/// its endpoints flipped), and \p P read back from its text and its RCBF
+/// serializations must give every registered strategy the same outcome
+/// bytes (writeOutcomeJson without timing) as \p P itself.
+bool checkOrderInvariance(const CoalescingProblem &P, Rng &Rand,
+                          std::string *Error);
+
 } // namespace testing
 } // namespace rc
 

@@ -469,6 +469,15 @@ static bool checkFormatRoundTripOnInstance(const CoalescingProblem &P,
   return true;
 }
 
+/// Order-invariance oracle wrapper: the shuffle Rng is derived from the
+/// trial seed, so a parsed reproducer replays the same insertion order.
+static bool checkOrderInvarianceOnInstance(const CoalescingProblem &P,
+                                           uint64_t TrialSeedValue,
+                                           std::string *Error) {
+  Rng OrderRand(deriveSeed(TrialSeedValue, "order-invariance"));
+  return checkOrderInvariance(P, OrderRand, Error);
+}
+
 const std::vector<Property> &testing::allProperties() {
   static const std::vector<Property> Registry = [] {
     std::vector<Property> Props;
@@ -564,6 +573,19 @@ const std::vector<Property> &testing::allProperties() {
                                   Trial);
          },
          checkFormatRoundTripOnInstance});
+
+    Props.push_back(
+        {"order-invariance",
+         "every strategy's outcome bytes are the same for any edge "
+         "insertion order and after text and RCBF round trips",
+         [](Rng &Rand, const FuzzConfig &Config, uint64_t Trial) {
+           CoalescingProblem P =
+               generateSoundnessInstance(Rand, Config.MaxSize);
+           return runProblemTrial("order-invariance", P,
+                                  checkOrderInvarianceOnInstance, Config,
+                                  Trial);
+         },
+         checkOrderInvarianceOnInstance});
 
     Props.push_back(
         {"workgraph-incremental",

@@ -38,11 +38,12 @@ static CoalescingProblem removeVertex(const CoalescingProblem &P,
 static CoalescingProblem removeEdge(const CoalescingProblem &P, unsigned U,
                                     unsigned V) {
   CoalescingProblem Shrunk = P;
-  Shrunk.G = Graph(P.G.numVertices());
+  GraphBuilder G(P.G.numVertices());
   for (unsigned A = 0; A < P.G.numVertices(); ++A)
     for (unsigned B : P.G.neighbors(A))
       if (A < B && !(A == std::min(U, V) && B == std::max(U, V)))
-        Shrunk.G.addEdge(A, B);
+        G.addEdge(A, B);
+  Shrunk.G = std::move(G).build();
   return Shrunk;
 }
 

@@ -12,7 +12,7 @@ using namespace rc;
 
 TEST(AggressiveTest, CoalescesEverythingWithoutInterference) {
   CoalescingProblem P;
-  P.G = Graph(4);
+  P.G = GraphBuilder(4).build();
   P.Affinities = {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}};
   AggressiveResult R = aggressiveCoalesceGreedy(P);
   EXPECT_EQ(R.Stats.UncoalescedAffinities, 0u);
@@ -21,9 +21,10 @@ TEST(AggressiveTest, CoalescesEverythingWithoutInterference) {
 
 TEST(AggressiveTest, InterferenceBlocksMerge) {
   CoalescingProblem P;
-  P.G = Graph(2);
-  P.G.addEdge(0, 1);
+  GraphBuilder GB(2);
+  GB.addEdge(0, 1);
   P.Affinities = {{0, 1, 1.0}};
+  P.G = std::move(GB).build();
   AggressiveResult R = aggressiveCoalesceGreedy(P);
   EXPECT_EQ(R.Stats.CoalescedAffinities, 0u);
 }
@@ -31,9 +32,10 @@ TEST(AggressiveTest, InterferenceBlocksMerge) {
 TEST(AggressiveTest, TransitiveConflict) {
   // Affinities (0,1) and (1,2) but 0 interferes with 2: only one can merge.
   CoalescingProblem P;
-  P.G = Graph(3);
-  P.G.addEdge(0, 2);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 2);
   P.Affinities = {{0, 1, 3.0}, {1, 2, 1.0}};
+  P.G = std::move(GB).build();
   AggressiveResult Greedy = aggressiveCoalesceGreedy(P);
   // Greedy prefers the heavier (0,1).
   EXPECT_EQ(Greedy.Stats.CoalescedWeight, 3.0);
@@ -51,10 +53,11 @@ TEST(AggressiveTest, GreedyCanBeSuboptimal) {
   // 4 vertices, edges (0,3),(0,4): affinities (0,1) w=3, (1,3) w=2,
   // (1,4) w=2. Greedy takes w=3, losing 4; exact takes the two w=2.
   CoalescingProblem P;
-  P.G = Graph(5);
-  P.G.addEdge(0, 3);
-  P.G.addEdge(0, 4);
+  GraphBuilder GB(5);
+  GB.addEdge(0, 3);
+  GB.addEdge(0, 4);
   P.Affinities = {{0, 1, 3.0}, {1, 3, 2.0}, {1, 4, 2.0}};
+  P.G = std::move(GB).build();
   AggressiveResult Greedy = aggressiveCoalesceGreedy(P);
   EXPECT_DOUBLE_EQ(Greedy.Stats.CoalescedWeight, 3.0);
   ExactSearchResult Exact = exactCoalesceSearch(P, {ExactFeasibility::Any});
@@ -66,7 +69,7 @@ TEST(AggressiveTest, ExactMatchesGreedyOnConflictFree) {
   Rng Rand(71);
   for (int Trial = 0; Trial < 10; ++Trial) {
     CoalescingProblem P;
-    P.G = Graph(8);
+    P.G = GraphBuilder(8).build();
     for (int A = 0; A < 6; ++A) {
       unsigned U = static_cast<unsigned>(Rand.nextBelow(8));
       unsigned V = static_cast<unsigned>(Rand.nextBelow(8));
@@ -107,14 +110,15 @@ TEST(Theorem2Test, PaperTriangleExample) {
   // Three terminals in a triangle of edges through regular vertices, as in
   // Figure 1's shape: terminals s1,s2,s3, vertices u,v,w.
   MultiwayCutInstance Instance;
-  Instance.G = Graph(6); // 0,1,2 terminals; 3,4,5 = u,v,w.
+  GraphBuilder GB(6); // 0,1,2 terminals; 3,4,5 = u,v,w.
   Instance.Terminals = {0, 1, 2};
-  Instance.G.addEdge(0, 3); // s1-u
-  Instance.G.addEdge(3, 1); // u-s2
-  Instance.G.addEdge(1, 4); // s2-v
-  Instance.G.addEdge(4, 2); // v-s3
-  Instance.G.addEdge(2, 5); // s3-w
-  Instance.G.addEdge(5, 0); // w-s1
+  GB.addEdge(0, 3); // s1-u
+  GB.addEdge(3, 1); // u-s2
+  GB.addEdge(1, 4); // s2-v
+  GB.addEdge(4, 2); // v-s3
+  GB.addEdge(2, 5); // s3-w
+  GB.addEdge(5, 0); // w-s1
+  Instance.G = std::move(GB).build();
 
   MultiwayCutResult Cut = solveMultiwayCutExact(Instance);
   EXPECT_EQ(Cut.CutSize, 3u); // Must cut the 3-cycle of terminal paths.

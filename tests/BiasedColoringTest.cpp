@@ -33,10 +33,11 @@ TEST(BiasedColoringTest, PrefersHeavierAffinity) {
   // Vertex 2 is affinity-related to both 0 and 1 (which interfere); the
   // heavier affinity must win the bias.
   CoalescingProblem P;
-  P.G = Graph(3);
-  P.G.addEdge(0, 1);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 1);
   P.K = 2;
   P.Affinities = {{0, 2, 1.0}, {1, 2, 5.0}};
+  P.G = std::move(GB).build();
   BiasedColoringResult R = biasedColoring(P);
   EXPECT_EQ(R.Colors[1], R.Colors[2]);
   EXPECT_DOUBLE_EQ(R.Stats.CoalescedWeight, 5.0);

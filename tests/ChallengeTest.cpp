@@ -238,22 +238,24 @@ TEST(ChallengeFormatTest, WriterMatchesStreamReference) {
 
   CoalescingProblem P;
   P.K = 1;
-  P.G = Graph(3);
-  P.G.addEdge(0, 2);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 2);
   for (double W : WeightTable)
     P.Affinities.push_back({0, 1, W});
   std::string Text;
+  P.G = std::move(GB).build();
   appendChallenge(Text, P);
   EXPECT_EQ(Text, referenceText(P));
 
   // A text larger than the ostream writer's flush chunk.
   CoalescingProblem Big;
   Big.K = 1;
-  Big.G = Graph(600);
+  GraphBuilder BigB(600);
   for (unsigned U = 0; U < 600; ++U)
     for (unsigned V = U + 1; V < 600; V += 7)
-      Big.G.addEdge(U, V);
+      BigB.addEdge(U, V);
   std::ostringstream Streamed;
+  Big.G = std::move(BigB).build();
   writeChallenge(Streamed, Big);
   ASSERT_GT(Streamed.str().size(), 64u << 10);
   EXPECT_EQ(Streamed.str(), referenceText(Big));

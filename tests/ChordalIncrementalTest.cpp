@@ -34,16 +34,17 @@ TEST(ChordalIncrementalTest, SpareColorCase) {
 }
 
 TEST(ChordalIncrementalTest, KBelowOmegaInfeasible) {
-  Graph G = Graph::complete(3);
-  unsigned Extra = G.addVertex();
-  (void)Extra;
+  GraphBuilder GB(Graph::complete(3));
+  GB.addVertices(1);
+  Graph G = std::move(GB).build();
   EXPECT_FALSE(chordalIncrementalCoalescing(G, 0, 3, 2).Feasible);
 }
 
 TEST(ChordalIncrementalTest, DifferentComponents) {
-  Graph G(5);
-  G.addClique({0, 1, 2});
-  G.addEdge(3, 4);
+  GraphBuilder GB(5);
+  GB.addClique({0, 1, 2});
+  GB.addEdge(3, 4);
+  Graph G = std::move(GB).build();
   ChordalIncrementalResult R = chordalIncrementalCoalescing(G, 0, 3, 3);
   ASSERT_TRUE(R.Feasible);
   EXPECT_EQ(R.Witness[0], R.Witness[3]);
@@ -55,10 +56,11 @@ TEST(ChordalIncrementalTest, CrossComponentAtTightPressure) {
   // and y lie in different components. The clique tree joins the
   // components through an empty separator, so the path between T_x and
   // T_y is that one edge and the chain is just {x, y}.
-  Graph G(6);
-  G.addClique({0, 1, 2});
-  G.addClique({3, 4, 5});
+  GraphBuilder GB(6);
+  GB.addClique({0, 1, 2});
+  GB.addClique({3, 4, 5});
   const unsigned K = 3;
+  Graph G = std::move(GB).build();
   CliqueTree T = CliqueTree::build(G);
   std::vector<unsigned> Path =
       T.pathBetweenSubtrees(T.nodesContaining(0), T.nodesContaining(3));
@@ -91,12 +93,13 @@ TEST(ChordalIncrementalTest, TightCorridorInfeasible) {
   // cannot match? x in {3}, y in {1}: infeasible... but colors of the
   // triangle can permute; x's color = color(c) always and y's = color(a);
   // they differ always. Infeasible indeed.
-  Graph G(5); // a=0,b=1,c=2,x=3,y=4.
-  G.addClique({0, 1, 2});
-  G.addEdge(3, 0);
-  G.addEdge(3, 1);
-  G.addEdge(4, 1);
-  G.addEdge(4, 2);
+  GraphBuilder GB(5); // a=0,b=1,c=2,x=3,y=4.
+  GB.addClique({0, 1, 2});
+  GB.addEdge(3, 0);
+  GB.addEdge(3, 1);
+  GB.addEdge(4, 1);
+  GB.addEdge(4, 2);
+  Graph G = std::move(GB).build();
   ASSERT_TRUE(isChordal(G));
   ChordalIncrementalResult R = chordalIncrementalCoalescing(G, 3, 4, 3);
   EXPECT_FALSE(R.Feasible);
@@ -123,11 +126,12 @@ TEST(ChordalIncrementalTest, SlackThroughPartiallyFullCorridor) {
   // Path of cliques where the middle clique is below k: x - {m} - y with a
   // K3 at each end. x,y share via a slack chain even at k = omega.
   // Build: triangle {x, p, q}, triangle {y, r, s}, bridge p - m, m - r.
-  Graph G(7); // x=0,p=1,q=2, m=3, y=4,r=5,s=6.
-  G.addClique({0, 1, 2});
-  G.addClique({4, 5, 6});
-  G.addEdge(1, 3);
-  G.addEdge(3, 5);
+  GraphBuilder GB(7); // x=0,p=1,q=2, m=3, y=4,r=5,s=6.
+  GB.addClique({0, 1, 2});
+  GB.addClique({4, 5, 6});
+  GB.addEdge(1, 3);
+  GB.addEdge(3, 5);
+  Graph G = std::move(GB).build();
   ASSERT_TRUE(isChordal(G));
   unsigned Omega = chordalCliqueNumber(G);
   ASSERT_EQ(Omega, 3u);

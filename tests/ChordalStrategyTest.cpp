@@ -46,13 +46,14 @@ TEST(ChordalStrategyTest, CoalescesSimplePath) {
 
 TEST(ChordalStrategyTest, ReportsInfeasibleAffinities) {
   // The 3-sun-like example where x and y can never share a color at k = 3.
-  Graph G(5);
-  G.addClique({0, 1, 2});
-  G.addEdge(3, 0);
-  G.addEdge(3, 1);
-  G.addEdge(4, 1);
-  G.addEdge(4, 2);
+  GraphBuilder GB(5);
+  GB.addClique({0, 1, 2});
+  GB.addEdge(3, 0);
+  GB.addEdge(3, 1);
+  GB.addEdge(4, 1);
+  GB.addEdge(4, 2);
   CoalescingProblem P;
+  Graph G = std::move(GB).build();
   P.G = G;
   P.K = 3;
   P.Affinities = {{3, 4, 1.0}};
@@ -133,11 +134,12 @@ TEST(ChordalStrategyTest, GappedChainsCommitAndStayChordal) {
   // chain, and the strategy merges it.
   CoalescingProblem Path;
   Path.K = 3;
-  Path.G = Graph(4);
-  Path.G.addEdge(0, 2);
-  Path.G.addEdge(2, 3);
-  Path.G.addEdge(3, 1);
+  GraphBuilder GB(4);
+  GB.addEdge(0, 2);
+  GB.addEdge(2, 3);
+  GB.addEdge(3, 1);
   Path.Affinities.push_back({0, 1, 1.0});
+  Path.G = std::move(GB).build();
   EXPECT_FALSE(chordalIncrementalCoalescing(Path.G, 0, 1, 3).GapFree);
   EXPECT_FALSE(chordalIncrementalDP(Path.G, 0, 1, 3).GapFree);
   for (ChordalChain Chain : BothChains) {

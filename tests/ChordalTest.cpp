@@ -23,7 +23,7 @@ asSet(std::vector<std::vector<unsigned>> Cliques) {
 
 TEST(ChordalTest, KnownChordalGraphs) {
   EXPECT_TRUE(isChordal(Graph()));
-  EXPECT_TRUE(isChordal(Graph(3)));
+  EXPECT_TRUE(isChordal(GraphBuilder(3).build()));
   EXPECT_TRUE(isChordal(Graph::complete(5)));
   EXPECT_TRUE(isChordal(Graph::path(6)));
   EXPECT_TRUE(isChordal(Graph::cycle(3)));
@@ -35,9 +35,9 @@ TEST(ChordalTest, ChordlessCyclesAreNotChordal) {
 }
 
 TEST(ChordalTest, CycleWithChordIsChordal) {
-  Graph G = Graph::cycle(4);
-  G.addEdge(0, 2);
-  EXPECT_TRUE(isChordal(G));
+  GraphBuilder GB(Graph::cycle(4));
+  GB.addEdge(0, 2);
+  EXPECT_TRUE(isChordal(std::move(GB).build()));
 }
 
 TEST(ChordalTest, McsOrderIsAPermutation) {
@@ -176,9 +176,10 @@ TEST(CliqueTreeTest, PathBetweenSubtrees) {
 }
 
 TEST(CliqueTreeTest, DisconnectedGraphStillVerifies) {
-  Graph G(6);
-  G.addClique({0, 1, 2});
-  G.addEdge(3, 4); // Vertex 5 isolated.
+  GraphBuilder GB(6);
+  GB.addClique({0, 1, 2});
+  GB.addEdge(3, 4); // Vertex 5 isolated.
+  Graph G = std::move(GB).build();
   CliqueTree T = CliqueTree::build(G);
   EXPECT_TRUE(T.verify(G));
   EXPECT_EQ(T.numNodes(), 3u);

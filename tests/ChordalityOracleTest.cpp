@@ -81,9 +81,9 @@ TEST(ChordalityOracleTest, OracleAgreesOnKnownGraphs) {
   EXPECT_FALSE(hasChordlessLongCycle(Graph::path(6)));
   EXPECT_TRUE(hasChordlessLongCycle(Graph::cycle(4)));
   EXPECT_TRUE(hasChordlessLongCycle(Graph::cycle(7)));
-  Graph CycleWithChord = Graph::cycle(4);
+  GraphBuilder CycleWithChord(Graph::cycle(4));
   CycleWithChord.addEdge(0, 2);
-  EXPECT_FALSE(hasChordlessLongCycle(CycleWithChord));
+  EXPECT_FALSE(hasChordlessLongCycle(std::move(CycleWithChord).build()));
 }
 
 struct ChordalityDifferential : public ::testing::TestWithParam<unsigned> {};

@@ -15,17 +15,18 @@ TEST(ProblemTest, IdentitySolutionIsValid) {
 }
 
 TEST(ProblemTest, InvalidWhenClassHasInterference) {
-  Graph G(3);
-  G.addEdge(0, 1);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 1);
   CoalescingSolution S;
   S.NumClasses = 2;
   S.ClassIds = {0, 0, 1}; // 0 and 1 interfere but share a class.
+  Graph G = std::move(GB).build();
   EXPECT_FALSE(isValidCoalescing(G, S));
 }
 
 TEST(ProblemTest, EvaluateCountsWeights) {
   CoalescingProblem P;
-  P.G = Graph(4);
+  P.G = GraphBuilder(4).build();
   P.Affinities = {{0, 1, 2.0}, {2, 3, 5.0}};
   CoalescingSolution S;
   S.NumClasses = 3;
@@ -81,9 +82,10 @@ TEST(WorkGraphTest, CannotMergeInterfering) {
 TEST(WorkGraphTest, TransitiveInterferenceAfterMerges) {
   // 0-1, 2-3; merge 0,2 then the class interferes with both 1 and 3;
   // merging 1,3 afterwards gives two mutually interfering classes.
-  Graph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(2, 3);
+  GraphBuilder GB(4);
+  GB.addEdge(0, 1);
+  GB.addEdge(2, 3);
+  Graph G = std::move(GB).build();
   WorkGraph WG(G);
   WG.merge(0, 2);
   ASSERT_TRUE(WG.canMerge(1, 3));
@@ -93,7 +95,7 @@ TEST(WorkGraphTest, TransitiveInterferenceAfterMerges) {
 }
 
 TEST(WorkGraphTest, MembersTrackMergedVertices) {
-  Graph G(5);
+  Graph G = GraphBuilder(5).build();
   WorkGraph WG(G);
   WG.merge(0, 3);
   WG.merge(3, 4);

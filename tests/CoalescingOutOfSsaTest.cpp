@@ -140,7 +140,7 @@ TEST(CoalescingOutOfSsaTest, ConservativeModeStaysGreedyKColorable) {
     Options.NumBlocks = 10;
     Options.MaxPhisPerJoin = 3;
     Function F = generateRandomSsaFunction(Options, Rand);
-    unsigned Maxlive = buildInterferenceGraph(F).Maxlive;
+    unsigned Maxlive = computeMaxlive(F);
     lowerOutOfSsaWithCoalescing(F,
                                 OutOfSsaCoalescing::ConservativeAtMaxlive);
     // The merged (class-level) interference graph before the rewrite was

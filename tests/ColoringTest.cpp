@@ -76,7 +76,7 @@ TEST(GreedyColorabilityTest, EmptyAndSingleton) {
   Graph Empty;
   EXPECT_TRUE(isGreedyKColorable(Empty, 0));
   EXPECT_EQ(coloringNumber(Empty), 0u);
-  Graph One(1);
+  Graph One = GraphBuilder(1).build();
   EXPECT_TRUE(isGreedyKColorable(One, 1));
   EXPECT_FALSE(isGreedyKColorable(One, 0));
   EXPECT_EQ(coloringNumber(One), 1u);
@@ -84,9 +84,10 @@ TEST(GreedyColorabilityTest, EmptyAndSingleton) {
 
 TEST(GreedyColorabilityTest, StuckSetHasAllHighDegrees) {
   // K4 plus a pendant: with k = 3 the pendant is removed, K4 is stuck.
-  Graph G = Graph::complete(4);
-  unsigned P = G.addVertex();
-  G.addEdge(0, P);
+  GraphBuilder GB(Graph::complete(4));
+  unsigned P = GB.addVertices(1);
+  GB.addEdge(0, P);
+  Graph G = std::move(GB).build();
   EliminationResult E = greedyEliminate(G, 3);
   EXPECT_FALSE(E.Success);
   ASSERT_EQ(E.Stuck.size(), 4u);

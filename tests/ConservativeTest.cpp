@@ -27,11 +27,11 @@ namespace {
 CoalescingProblem permutationGadget(unsigned Size, bool PadNeighbors = false) {
   assert(Size >= 3 && "gadget needs at least 3 pairs");
   CoalescingProblem P;
-  P.G = Graph(2 * Size); // u_i = i, v_i = Size + i.
+  GraphBuilder GB(2 * Size); // u_i = i, v_i = Size + i.
   for (unsigned I = 0; I < Size; ++I)
     for (unsigned J = 0; J < Size; ++J)
       if (I != J)
-        P.G.addEdge(I, Size + J); // u_i -- v_j.
+        GB.addEdge(I, Size + J); // u_i -- v_j.
   for (unsigned I = 0; I < Size; ++I)
     P.Affinities.push_back({I, Size + I, 1.0});
   P.K = 2 * Size - 2;
@@ -40,22 +40,24 @@ CoalescingProblem permutationGadget(unsigned Size, bool PadNeighbors = false) {
     // clique of K - (Size - 1) low-degree vertices.
     unsigned PadSize = P.K - (Size - 1);
     for (unsigned V = 0; V < 2 * Size; ++V) {
-      unsigned First = P.G.addVertices(PadSize);
+      unsigned First = GB.addVertices(PadSize);
       std::vector<unsigned> Clique{V};
       for (unsigned I = 0; I < PadSize; ++I)
         Clique.push_back(First + I);
-      P.G.addClique(Clique);
+      GB.addClique(Clique);
     }
   }
+  P.G = std::move(GB).build();
   return P;
 }
 
 } // namespace
 
 TEST(ConservativeRuleTest, BriggsAcceptsLowDegreeMerge) {
-  Graph G(4);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
+  GraphBuilder GB(4);
+  GB.addEdge(0, 2);
+  GB.addEdge(1, 3);
+  Graph G = std::move(GB).build();
   WorkGraph WG(G);
   WG.enableDegreeCache(2);
   EXPECT_TRUE(briggsTest(WG, 0, 1, 2));
@@ -64,10 +66,11 @@ TEST(ConservativeRuleTest, BriggsAcceptsLowDegreeMerge) {
 TEST(ConservativeRuleTest, BriggsCountsCommonNeighborsOnce) {
   // Merging 0 and 1 with common neighbor 2 (degree 2 in a triangle-free
   // graph): after the merge 2's degree drops to 1.
-  Graph G(4);
-  G.addEdge(0, 2);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
+  GraphBuilder GB(4);
+  GB.addEdge(0, 2);
+  GB.addEdge(1, 2);
+  GB.addEdge(2, 3);
+  Graph G = std::move(GB).build();
   WorkGraph WG(G);
   WG.enableDegreeCache(2);
   // k=2: neighbor 2 has degree 3, merged-degree 2 >= 2 -> 1 significant,
@@ -77,11 +80,12 @@ TEST(ConservativeRuleTest, BriggsCountsCommonNeighborsOnce) {
 
 TEST(ConservativeRuleTest, GeorgeSubsumptionCase) {
   // N(0) subset of N(1): George accepts merging 0 into 1 trivially.
-  Graph G(5);
-  G.addEdge(0, 2);
-  G.addEdge(1, 2);
-  G.addEdge(1, 3);
-  G.addEdge(1, 4);
+  GraphBuilder GB(5);
+  GB.addEdge(0, 2);
+  GB.addEdge(1, 2);
+  GB.addEdge(1, 3);
+  GB.addEdge(1, 4);
+  Graph G = std::move(GB).build();
   WorkGraph WG(G);
   WG.enableDegreeCache(2);
   EXPECT_TRUE(georgeTest(WG, 0, 1, 2));
@@ -89,11 +93,12 @@ TEST(ConservativeRuleTest, GeorgeSubsumptionCase) {
 
 TEST(ConservativeRuleTest, GeorgeRejectsUncoveredHighDegreeNeighbor) {
   // 0's neighbor 2 has high degree and is not a neighbor of 1.
-  Graph G(6);
-  G.addEdge(0, 2);
-  G.addEdge(2, 3);
-  G.addEdge(2, 4);
-  G.addEdge(2, 5);
+  GraphBuilder GB(6);
+  GB.addEdge(0, 2);
+  GB.addEdge(2, 3);
+  GB.addEdge(2, 4);
+  GB.addEdge(2, 5);
+  Graph G = std::move(GB).build();
   WorkGraph WG(G);
   WG.enableDegreeCache(2);
   EXPECT_FALSE(georgeTest(WG, 0, 1, 2));
@@ -194,25 +199,26 @@ TEST(Figure3Test, RightGadgetNonIncremental) {
   //   merging {a,c} completes the K3,3 on {ac, y', b} x {u1,u2,u3};
   //   merging all three collapses c into the first obstruction (and b into
   //   the second), leaving the x's and u's with degree 2.
-  Graph G(11);
+  GraphBuilder GB(11);
   const unsigned A = 0, B = 1, C = 2, X1 = 3, X2 = 4, X3 = 5, U1 = 6,
                  U2 = 7, U3 = 8, Y = 9, YP = 10;
-  G.addEdge(A, X3);
-  G.addEdge(A, U3);
-  G.addEdge(B, X1);
-  G.addEdge(B, X2);
-  G.addEdge(B, U1);
-  G.addEdge(B, U2);
-  G.addEdge(B, U3);
-  G.addEdge(C, X1);
-  G.addEdge(C, X2);
-  G.addEdge(C, X3);
-  G.addEdge(C, U1);
-  G.addEdge(C, U2);
+  GB.addEdge(A, X3);
+  GB.addEdge(A, U3);
+  GB.addEdge(B, X1);
+  GB.addEdge(B, X2);
+  GB.addEdge(B, U1);
+  GB.addEdge(B, U2);
+  GB.addEdge(B, U3);
+  GB.addEdge(C, X1);
+  GB.addEdge(C, X2);
+  GB.addEdge(C, X3);
+  GB.addEdge(C, U1);
+  GB.addEdge(C, U2);
   for (unsigned X : {X1, X2, X3})
-    G.addEdge(Y, X);
+    GB.addEdge(Y, X);
   for (unsigned U : {U1, U2, U3})
-    G.addEdge(YP, U);
+    GB.addEdge(YP, U);
+  Graph G = std::move(GB).build();
 
   // The original graph is greedy-3-colorable, and the affinity endpoints
   // do not interfere.
@@ -317,19 +323,20 @@ namespace {
 CoalescingProblem reactivationGadget() {
   CoalescingProblem P;
   P.K = 3;
-  P.G = Graph(11);
+  GraphBuilder GB(11);
   const unsigned U = 0, V = 1, N1 = 2, N2 = 3, N3 = 4, X = 5, Y = 6;
-  P.G.addEdge(U, N1);
-  P.G.addEdge(U, N2);
-  P.G.addEdge(V, N3);
-  P.G.addEdge(N1, X);
-  P.G.addEdge(N1, Y);
-  P.G.addEdge(N2, 7);
-  P.G.addEdge(N2, 8);
-  P.G.addEdge(N3, 9);
-  P.G.addEdge(N3, 10);
+  GB.addEdge(U, N1);
+  GB.addEdge(U, N2);
+  GB.addEdge(V, N3);
+  GB.addEdge(N1, X);
+  GB.addEdge(N1, Y);
+  GB.addEdge(N2, 7);
+  GB.addEdge(N2, 8);
+  GB.addEdge(N3, 9);
+  GB.addEdge(N3, 10);
   P.Affinities.push_back({U, V, 2.0});
   P.Affinities.push_back({X, Y, 1.0});
+  P.G = std::move(GB).build();
   return P;
 }
 

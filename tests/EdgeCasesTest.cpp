@@ -52,7 +52,7 @@ TEST(EdgeCasesTest, EmptyProblemAllStrategies) {
 
 TEST(EdgeCasesTest, SingleVertexNoAffinities) {
   CoalescingProblem P;
-  P.G = Graph(1);
+  P.G = GraphBuilder(1).build();
   P.K = 1;
   OptimisticResult O = optimisticCoalesce(P);
   EXPECT_TRUE(O.GreedyKColorable);
@@ -66,7 +66,7 @@ TEST(EdgeCasesTest, SelfAffinityEndpointsAlreadyMerged) {
   // An affinity whose endpoints are merged transitively: stats count it as
   // coalesced exactly once.
   CoalescingProblem P;
-  P.G = Graph(3);
+  P.G = GraphBuilder(3).build();
   P.K = 1;
   P.Affinities = {{0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 1.0}};
   AggressiveResult R = aggressiveCoalesceGreedy(P);
@@ -76,7 +76,7 @@ TEST(EdgeCasesTest, SelfAffinityEndpointsAlreadyMerged) {
 
 TEST(EdgeCasesTest, DuplicateAffinitiesCountSeparately) {
   CoalescingProblem P;
-  P.G = Graph(2);
+  P.G = GraphBuilder(2).build();
   P.K = 1;
   P.Affinities = {{0, 1, 1.0}, {0, 1, 2.0}};
   AggressiveResult R = aggressiveCoalesceGreedy(P);
@@ -104,7 +104,7 @@ TEST(EdgeCasesTest, SpillEverythingWhenKIsOne) {
 
 TEST(EdgeCasesTest, NodeMergingOnEmptyAndSingleton) {
   EXPECT_TRUE(mergeNodesForColorability(Graph(), 1).GreedyKColorable);
-  EXPECT_TRUE(mergeNodesForColorability(Graph(1), 1).GreedyKColorable);
+  EXPECT_TRUE(mergeNodesForColorability(GraphBuilder(1).build(), 1).GreedyKColorable);
 }
 
 TEST(EdgeCasesTest, StrategyRunnerOnEmptyProblem) {
@@ -120,10 +120,11 @@ TEST(EdgeCasesTest, AffinityHeavierThanAllOthersWinsFirst) {
   // Conflict triangle: (0,1) blocks (1,2) and (0,2) via interference after
   // merging; heaviest must win in every greedy driver.
   CoalescingProblem P;
-  P.G = Graph(3);
-  P.G.addEdge(0, 2); // 0 and 2 interfere.
+  GraphBuilder GB(3);
+  GB.addEdge(0, 2); // 0 and 2 interfere.
   P.K = 2;
   P.Affinities = {{0, 1, 1.0}, {1, 2, 100.0}};
+  P.G = std::move(GB).build();
   EXPECT_DOUBLE_EQ(aggressiveCoalesceGreedy(P).Stats.CoalescedWeight, 100.0);
   EXPECT_DOUBLE_EQ(
       conservativeCoalesce(P, ConservativeRule::BruteForce)
@@ -134,7 +135,7 @@ TEST(EdgeCasesTest, AffinityHeavierThanAllOthersWinsFirst) {
 
 TEST(EdgeCasesTest, IrcAllVerticesIsolated) {
   CoalescingProblem P;
-  P.G = Graph(10);
+  P.G = GraphBuilder(10).build();
   P.K = 1;
   IrcResult R = iteratedRegisterCoalescing(P);
   EXPECT_TRUE(R.Spilled.empty());
@@ -143,7 +144,7 @@ TEST(EdgeCasesTest, IrcAllVerticesIsolated) {
 }
 
 TEST(EdgeCasesTest, ChordalIncrementalOnTwoIsolatedVertices) {
-  Graph G(2);
+  Graph G = GraphBuilder(2).build();
   for (const ChordalIncrementalResult &R :
        {chordalIncrementalCoalescing(G, 0, 1, 1),
         chordalIncrementalDP(G, 0, 1, 1)}) {

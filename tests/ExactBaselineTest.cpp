@@ -123,11 +123,12 @@ TEST(ExactBaselineTest, GappedChainDecisionAgreesAcrossImplementations) {
   // affinity (0, 1) is feasible only through the free color slot of the
   // middle clique {2, 3} -- no real-vertex chain tiles the clique-tree
   // path, so every implementation must agree on "feasible, gapped".
-  Graph G(4);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
+  GraphBuilder GB(4);
+  GB.addEdge(0, 2);
+  GB.addEdge(1, 3);
+  GB.addEdge(2, 3);
   const unsigned K = 3;
+  Graph G = std::move(GB).build();
   ASSERT_TRUE(isChordal(G));
 
   ChordalIncrementalResult Bfs = chordalIncrementalCoalescing(G, 0, 1, K);

@@ -11,7 +11,7 @@ using namespace rc;
 
 TEST(ExactColoringTest, KnownChromaticNumbers) {
   EXPECT_EQ(chromaticNumber(Graph()), 0u);
-  EXPECT_EQ(chromaticNumber(Graph(3)), 1u);
+  EXPECT_EQ(chromaticNumber(GraphBuilder(3).build()), 1u);
   EXPECT_EQ(chromaticNumber(Graph::complete(5)), 5u);
   EXPECT_EQ(chromaticNumber(Graph::cycle(4)), 2u);
   EXPECT_EQ(chromaticNumber(Graph::cycle(5)), 3u);
@@ -20,12 +20,13 @@ TEST(ExactColoringTest, KnownChromaticNumbers) {
 
 TEST(ExactColoringTest, PetersenGraphIsThreeChromatic) {
   // The Petersen graph: outer 5-cycle, inner 5-star, spokes.
-  Graph G(10);
+  GraphBuilder GB(10);
   for (unsigned I = 0; I < 5; ++I) {
-    G.addEdge(I, (I + 1) % 5);           // Outer cycle.
-    G.addEdge(5 + I, 5 + (I + 2) % 5);   // Inner pentagram.
-    G.addEdge(I, 5 + I);                 // Spokes.
+    GB.addEdge(I, (I + 1) % 5);           // Outer cycle.
+    GB.addEdge(5 + I, 5 + (I + 2) % 5);   // Inner pentagram.
+    GB.addEdge(I, 5 + I);                 // Spokes.
   }
+  Graph G = std::move(GB).build();
   EXPECT_FALSE(exactKColoring(G, 2).Colorable);
   ExactColoringResult R = exactKColoring(G, 3);
   EXPECT_TRUE(R.Colorable);
@@ -138,8 +139,9 @@ TEST(BronKerboschTest, KnownCliques) {
 }
 
 TEST(BronKerboschTest, IsolatedVerticesAreMaximalCliques) {
-  Graph G(3);
-  G.addEdge(0, 1);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 1);
+  Graph G = std::move(GB).build();
   auto Cliques = maximalCliquesBruteForce(G);
   EXPECT_EQ(Cliques.size(), 2u); // {0,1} and {2}.
 }

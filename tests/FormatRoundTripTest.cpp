@@ -68,7 +68,7 @@ std::string writeTempBinary(const CoalescingProblem &P, const char *Tag) {
 TEST(FormatRoundTripTest, EmptyInstance) {
   CoalescingProblem P;
   P.K = 2;
-  P.G = Graph(0);
+  P.G = GraphBuilder(0).build();
   CoalescingProblem Q = binaryRoundTrip(P);
   EXPECT_EQ(Q.K, 2u);
   EXPECT_EQ(Q.G.numVertices(), 0u);
@@ -79,12 +79,13 @@ TEST(FormatRoundTripTest, EmptyInstance) {
 TEST(FormatRoundTripTest, EdgesAndAffinitiesSurvive) {
   CoalescingProblem P;
   P.K = 3;
-  P.G = Graph(6);
-  P.G.addEdge(0, 1);
-  P.G.addEdge(4, 2);
-  P.G.addEdge(5, 0);
+  GraphBuilder GB(6);
+  GB.addEdge(0, 1);
+  GB.addEdge(4, 2);
+  GB.addEdge(5, 0);
   P.Affinities.push_back({2, 3, 1.5});
   P.Affinities.push_back({5, 1, 7.0});
+  P.G = std::move(GB).build();
   CoalescingProblem Q = binaryRoundTrip(P);
   EXPECT_EQ(Q.K, 3u);
   EXPECT_EQ(Q.G.numEdges(), 3u);
@@ -103,7 +104,7 @@ TEST(FormatRoundTripTest, ExtremeWeightsAreBitExact) {
   // round (max double, subnormals, long fractions) survive unchanged.
   CoalescingProblem P;
   P.K = 2;
-  P.G = Graph(3);
+  P.G = GraphBuilder(3).build();
   P.Affinities.push_back({0, 1, std::numeric_limits<double>::max()});
   P.Affinities.push_back({1, 2, std::numeric_limits<double>::denorm_min()});
   P.Affinities.push_back({0, 2, 0.1 + 0.2});
@@ -120,14 +121,16 @@ TEST(FormatRoundTripTest, CanonicalAcrossInsertionOrders) {
   // bytes: the writer sorts.
   CoalescingProblem A, B;
   A.K = B.K = 4;
-  A.G = Graph(5);
-  A.G.addEdge(3, 4);
-  A.G.addEdge(0, 2);
-  A.G.addEdge(1, 2);
-  B.G = Graph(5);
-  B.G.addEdge(2, 1);
-  B.G.addEdge(4, 3);
-  B.G.addEdge(2, 0);
+  GraphBuilder AB(5);
+  AB.addEdge(3, 4);
+  AB.addEdge(0, 2);
+  AB.addEdge(1, 2);
+  GraphBuilder BB(5);
+  BB.addEdge(2, 1);
+  BB.addEdge(4, 3);
+  BB.addEdge(2, 0);
+  A.G = std::move(AB).build();
+  B.G = std::move(BB).build();
   EXPECT_EQ(canonicalBytes(A), canonicalBytes(B));
 }
 
@@ -363,12 +366,14 @@ TEST(FormatRoundTripTest, RejectsCorruptInputs) {
 TEST(FormatRoundTripTest, DigestKeyIsFixedSizeAndCanonical) {
   CoalescingProblem A, B;
   A.K = B.K = 3;
-  A.G = Graph(4);
-  A.G.addEdge(0, 1);
-  A.G.addEdge(2, 3);
-  B.G = Graph(4);
-  B.G.addEdge(3, 2);
-  B.G.addEdge(1, 0);
+  GraphBuilder AB(4);
+  AB.addEdge(0, 1);
+  AB.addEdge(2, 3);
+  GraphBuilder BB(4);
+  BB.addEdge(3, 2);
+  BB.addEdge(1, 0);
+  A.G = std::move(AB).build();
+  B.G = std::move(BB).build();
   A.Affinities.push_back({0, 2, 5.0});
   B.Affinities.push_back({0, 2, 5.0});
 

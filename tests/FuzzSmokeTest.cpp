@@ -119,10 +119,9 @@ TEST(Shrinker, ProblemShrinksToMinimalTriangle) {
   // containing a triangle, so the minimum is K3 with no affinities.
   Rng Rand(5);
   CoalescingProblem P;
-  P.G = randomGraph(9, 0.15, Rand);
-  P.G.addEdge(2, 5);
-  P.G.addEdge(5, 7);
-  P.G.addEdge(2, 7);
+  GraphBuilder GB(randomGraph(9, 0.15, Rand));
+  GB.addClique({2, 5, 7});
+  P.G = std::move(GB).build();
   P.K = 3;
   P.Affinities.push_back({0, 1, 2.0});
   P.Affinities.push_back({3, 4, 1.0});

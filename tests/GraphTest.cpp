@@ -2,6 +2,9 @@
 
 #include "graph/Graph.h"
 
+#include "graph/Generators.h"
+#include "support/Random.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +18,10 @@ TEST(GraphTest, EmptyGraph) {
 }
 
 TEST(GraphTest, AddEdgeBasics) {
-  Graph G(3);
-  EXPECT_TRUE(G.addEdge(0, 1));
-  EXPECT_FALSE(G.addEdge(1, 0)); // Duplicate (symmetric).
+  GraphBuilder B(3);
+  B.addEdge(0, 1);
+  B.addEdge(1, 0); // Duplicate (symmetric): kept once.
+  Graph G = std::move(B).build();
   EXPECT_TRUE(G.hasEdge(0, 1));
   EXPECT_TRUE(G.hasEdge(1, 0));
   EXPECT_FALSE(G.hasEdge(0, 2));
@@ -27,25 +31,29 @@ TEST(GraphTest, AddEdgeBasics) {
 }
 
 TEST(GraphTest, AddVertexGrows) {
-  Graph G(2);
-  G.addEdge(0, 1);
-  unsigned V = G.addVertex();
+  GraphBuilder B(Graph::path(2));
+  unsigned V = B.addVertices(1);
   EXPECT_EQ(V, 2u);
+  B.addEdge(1, 2);
+  Graph G = std::move(B).build();
   EXPECT_TRUE(G.hasEdge(0, 1));
-  G.addEdge(1, 2);
   EXPECT_TRUE(G.hasEdge(2, 1));
+  EXPECT_EQ(G.numEdges(), 2u);
 }
 
 TEST(GraphTest, AddVerticesBatch) {
-  Graph G(1);
-  unsigned First = G.addVertices(4);
+  GraphBuilder B(1);
+  unsigned First = B.addVertices(4);
   EXPECT_EQ(First, 1u);
-  EXPECT_EQ(G.numVertices(), 5u);
+  EXPECT_EQ(B.numVertices(), 5u);
+  EXPECT_EQ(std::move(B).build().numVertices(), 5u);
 }
 
 TEST(GraphTest, CliqueHelpers) {
-  Graph G(5);
-  G.addClique({0, 2, 4});
+  GraphBuilder B(5);
+  B.addClique({0, 2, 4});
+  B.addClique({2, 4}); // Repeats are kept once.
+  Graph G = std::move(B).build();
   EXPECT_TRUE(G.isClique({0, 2, 4}));
   EXPECT_TRUE(G.isClique({0, 2}));
   EXPECT_FALSE(G.isClique({0, 1, 2}));
@@ -80,8 +88,7 @@ TEST(GraphTest, QuotientMergesClasses) {
 }
 
 TEST(GraphTest, QuotientDetectsSelfLoop) {
-  Graph G(2);
-  G.addEdge(0, 1);
+  Graph G = Graph::path(2);
   bool SelfLoop = false;
   Graph Q = G.quotient({0, 0}, 1, &SelfLoop);
   EXPECT_TRUE(SelfLoop);
@@ -110,11 +117,11 @@ TEST(GraphTest, InducedSubgraphDropsOutsideEdges) {
 }
 
 TEST(GraphTest, ConnectedComponents) {
-  Graph G(6);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(3, 4);
-  auto Components = G.connectedComponents();
+  GraphBuilder B(6);
+  B.addEdge(0, 1);
+  B.addEdge(1, 2);
+  B.addEdge(3, 4);
+  auto Components = std::move(B).build().connectedComponents();
   ASSERT_EQ(Components.size(), 3u);
   EXPECT_EQ(Components[0], (std::vector<unsigned>{0, 1, 2}));
   EXPECT_EQ(Components[1], (std::vector<unsigned>{3, 4}));
@@ -122,79 +129,136 @@ TEST(GraphTest, ConnectedComponents) {
 }
 
 TEST(GraphTest, SameComponent) {
-  Graph G(5);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
+  GraphBuilder B(5);
+  B.addEdge(0, 1);
+  B.addEdge(1, 2);
+  Graph G = std::move(B).build();
   EXPECT_TRUE(G.sameComponent(0, 2));
   EXPECT_TRUE(G.sameComponent(3, 3));
   EXPECT_FALSE(G.sameComponent(0, 3));
 }
 
 TEST(GraphTest, NeighborsMatchEdges) {
-  Graph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(0, 3);
-  std::vector<unsigned> N = G.neighbors(0);
-  std::sort(N.begin(), N.end());
-  EXPECT_EQ(N, (std::vector<unsigned>{1, 3}));
+  GraphBuilder B(4);
+  B.addEdge(0, 3);
+  B.addEdge(1, 0);
+  Graph G = std::move(B).build();
+  EXPECT_EQ(std::vector<unsigned>(G.neighbors(0)),
+            (std::vector<unsigned>{1, 3}));
 }
 
+namespace {
+
+/// The edges of \p G as (u < v) pairs, in row order.
+std::vector<std::pair<unsigned, unsigned>> edgeList(const Graph &G) {
+  std::vector<std::pair<unsigned, unsigned>> Edges;
+  for (unsigned U = 0; U < G.numVertices(); ++U)
+    for (unsigned V : G.neighbors(U))
+      if (U < V)
+        Edges.push_back({U, V});
+  return Edges;
+}
+
+/// Builds \p Edges in the given order under \p DenseThreshold.
+Graph buildInOrder(unsigned N,
+                   const std::vector<std::pair<unsigned, unsigned>> &Edges,
+                   unsigned DenseThreshold) {
+  GraphBuilder B(N, DenseThreshold);
+  for (auto [U, V] : Edges)
+    B.addEdge(U, V);
+  return std::move(B).build();
+}
+
+void expectSameRows(const Graph &A, const Graph &B) {
+  ASSERT_EQ(A.numVertices(), B.numVertices());
+  EXPECT_EQ(A.numEdges(), B.numEdges());
+  for (unsigned V = 0; V < A.numVertices(); ++V)
+    ASSERT_EQ(A.neighbors(V), B.neighbors(V)) << "row " << V;
+}
+
+} // namespace
+
 TEST(GraphTest, SparseModeMatchesDense) {
-  // Same edge set built under both representations (threshold 4 forces the
-  // arena-backed CSR path); every query must agree.
-  Graph D(8);
-  Graph S(8, /*DenseThreshold=*/4);
+  // The same edges, one graph answering hasEdge from the bit matrix and one
+  // (threshold 4) by binary search of its rows: every query agrees.
+  const std::vector<std::pair<unsigned, unsigned>> EdgeList = {
+      {0, 1}, {0, 3}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
+      {2, 7}, {1, 5}, {1, 0}};
+  Graph D = buildInOrder(8, EdgeList, Graph::DefaultDenseThreshold);
+  Graph S = buildInOrder(8, EdgeList, /*DenseThreshold=*/4);
   EXPECT_TRUE(D.usesDenseRepresentation());
   EXPECT_FALSE(S.usesDenseRepresentation());
-  const std::pair<unsigned, unsigned> EdgeList[] = {
-      {0, 1}, {0, 3}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
-      {2, 7}, {1, 5}};
-  for (auto [U, V] : EdgeList) {
-    EXPECT_TRUE(D.addEdge(U, V));
-    EXPECT_TRUE(S.addEdge(U, V));
-  }
-  EXPECT_FALSE(S.addEdge(0, 1)); // Duplicate insert reports not-new.
-  EXPECT_EQ(D.numEdges(), S.numEdges());
-  for (unsigned U = 0; U < 8; ++U) {
-    EXPECT_EQ(D.degree(U), S.degree(U));
-    std::vector<unsigned> DN = D.neighbors(U);
-    std::sort(DN.begin(), DN.end());
-    std::vector<unsigned> SN = S.neighbors(U);
-    EXPECT_EQ(DN, SN); // Sparse rows come out sorted.
+  EXPECT_EQ(D.numEdges(), 10u);
+  expectSameRows(D, S);
+  for (unsigned U = 0; U < 8; ++U)
     for (unsigned V = 0; V < 8; ++V)
-      EXPECT_EQ(D.hasEdge(U, V), S.hasEdge(U, V));
-  }
+      EXPECT_EQ(D.hasEdge(U, V), S.hasEdge(U, V)) << U << "-" << V;
   EXPECT_EQ(D.connectedComponents(), S.connectedComponents());
 }
 
-TEST(GraphTest, GrowthMigratesToSparse) {
-  Graph G(3, /*DenseThreshold=*/4);
-  G.addEdge(0, 2);
-  G.addEdge(0, 1);
-  EXPECT_TRUE(G.usesDenseRepresentation());
-  unsigned First = G.addVertices(3); // 6 > 4: migrates.
-  EXPECT_EQ(First, 3u);
-  EXPECT_FALSE(G.usesDenseRepresentation());
-  EXPECT_TRUE(G.hasEdge(0, 2));
-  EXPECT_TRUE(G.hasEdge(1, 0));
-  EXPECT_FALSE(G.hasEdge(1, 2));
-  G.addEdge(5, 0);
-  EXPECT_EQ(G.degree(0), 3u);
-  // Migration sorts the neighbor lists.
-  std::vector<unsigned> N = G.neighbors(0);
-  EXPECT_EQ(N, (std::vector<unsigned>{1, 2, 5}));
+TEST(GraphTest, NeighborsStrictlyAscendingAtEverySize) {
+  // Rows are a function of the edge set: ascending, and identical for any
+  // insertion order, with or without the matrix, below and above the
+  // default threshold.
+  Rng Rand(21);
+  for (unsigned N : {2u, 9u, 64u, 700u, Graph::DefaultDenseThreshold + 300}) {
+    SCOPED_TRACE(N);
+    std::vector<std::pair<unsigned, unsigned>> Edges;
+    for (unsigned I = 0; I < 6 * N; ++I) {
+      unsigned U = static_cast<unsigned>(Rand.nextBelow(N));
+      unsigned V = static_cast<unsigned>(Rand.nextBelow(N));
+      if (U != V)
+        Edges.push_back({U, V}); // Repeats and both orientations included.
+    }
+    Graph Forward = buildInOrder(N, Edges, Graph::DefaultDenseThreshold);
+    EXPECT_EQ(Forward.usesDenseRepresentation(),
+              N <= Graph::DefaultDenseThreshold);
+    for (unsigned V = 0; V < N; ++V) {
+      VertexSpan Row = Forward.neighbors(V);
+      for (size_t I = 1; I < Row.size(); ++I)
+        ASSERT_LT(Row[I - 1], Row[I]) << "row " << V;
+    }
+    std::reverse(Edges.begin(), Edges.end());
+    expectSameRows(Forward, buildInOrder(N, Edges, 0));
+    for (size_t I = Edges.size(); I > 1; --I)
+      std::swap(Edges[I - 1], Edges[Rand.nextBelow(I)]);
+    expectSameRows(Forward,
+                   buildInOrder(N, Edges, Graph::DefaultDenseThreshold));
+  }
 }
 
-TEST(GraphTest, ReserveVerticesSwitchesEarly) {
-  Graph G(0, /*DenseThreshold=*/4);
-  G.reserveVertices(100, 200);
+TEST(GraphTest, FromSortedEdgesMatchesBuilder) {
+  Rng Rand(4);
+  for (unsigned Threshold : {Graph::DefaultDenseThreshold, 0u}) {
+    Graph G = randomGraph(40, 0.2, Rand);
+    std::vector<unsigned char> Bytes;
+    for (auto [U, V] : edgeList(G))
+      for (unsigned X : {U, V})
+        for (int B = 0; B < 4; ++B)
+          Bytes.push_back(static_cast<unsigned char>(X >> (8 * B)));
+    Graph F = Graph::fromSortedEdges(40, Bytes.data(), G.numEdges(), Threshold);
+    EXPECT_EQ(F.usesDenseRepresentation(), Threshold != 0);
+    expectSameRows(G, F);
+    for (unsigned U = 0; U < 40; ++U)
+      for (unsigned V = 0; V < 40; ++V)
+        ASSERT_EQ(G.hasEdge(U, V), F.hasEdge(U, V));
+  }
+}
+
+TEST(GraphTest, BuilderSeededFromGraphCanPassTheThreshold) {
+  // A GraphBuilder seeded from a graph that grows past the dense threshold
+  // keeps every edge and drops the matrix.
+  Graph Small = Graph::cycle(5);
+  GraphBuilder B(Small);
+  unsigned First = B.addVertices(Graph::DefaultDenseThreshold);
+  B.addEdge(0, First);
+  B.addEdge(First, 4);
+  Graph G = std::move(B).build();
   EXPECT_FALSE(G.usesDenseRepresentation());
-  G.addVertices(100);
-  EXPECT_EQ(G.numVertices(), 100u);
-  G.addEdge(0, 99);
-  EXPECT_TRUE(G.hasEdge(99, 0));
-  // Reserving within the dense threshold keeps the dense path.
-  Graph H(2);
-  H.reserveVertices(4);
-  EXPECT_TRUE(H.usesDenseRepresentation());
+  EXPECT_EQ(G.numEdges(), 7u);
+  EXPECT_EQ(std::vector<unsigned>(G.neighbors(0)),
+            (std::vector<unsigned>{1, 4, First}));
+  EXPECT_TRUE(G.hasEdge(4, First));
+  EXPECT_TRUE(G.hasEdge(3, 4));
+  EXPECT_FALSE(G.hasEdge(1, 3));
 }

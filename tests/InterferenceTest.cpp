@@ -26,7 +26,7 @@ TEST(InterferenceTest, StraightLineClique) {
   EXPECT_TRUE(IG.G.hasEdge(C, B)); // b survives past c's definition.
   EXPECT_FALSE(IG.G.hasEdge(A, C)); // a dies at c's definition.
   EXPECT_FALSE(IG.G.hasEdge(C, D));
-  EXPECT_EQ(IG.Maxlive, 2u);
+  EXPECT_EQ(computeMaxlive(F), 2u);
 }
 
 TEST(InterferenceTest, CopyModesDiffer) {
@@ -119,7 +119,7 @@ TEST_P(Theorem1Sweep, ChordalAndOmegaEqualsMaxlive) {
 
     InterferenceGraph IG = buildInterferenceGraph(F);
     ASSERT_TRUE(isChordal(IG.G)) << "Theorem 1 chordality violated";
-    EXPECT_EQ(chordalCliqueNumber(IG.G), IG.Maxlive)
+    EXPECT_EQ(chordalCliqueNumber(IG.G), computeMaxlive(F))
         << "Theorem 1 omega == Maxlive violated";
   }
 }

@@ -36,10 +36,11 @@ void checkIrcResult(const CoalescingProblem &P, const IrcResult &R) {
 
 TEST(IrcTest, SimpleMoveIsCoalesced) {
   CoalescingProblem P;
-  P.G = Graph(3);
-  P.G.addEdge(0, 2);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 2);
   P.K = 2;
   P.Affinities = {{0, 1, 1.0}};
+  P.G = std::move(GB).build();
   IrcResult R = iteratedRegisterCoalescing(P);
   EXPECT_TRUE(R.Spilled.empty());
   EXPECT_EQ(R.Stats.CoalescedAffinities, 1u);
@@ -48,10 +49,11 @@ TEST(IrcTest, SimpleMoveIsCoalesced) {
 
 TEST(IrcTest, ConstrainedMoveIsNotCoalesced) {
   CoalescingProblem P;
-  P.G = Graph(2);
-  P.G.addEdge(0, 1);
+  GraphBuilder GB(2);
+  GB.addEdge(0, 1);
   P.K = 2;
   P.Affinities = {{0, 1, 1.0}};
+  P.G = std::move(GB).build();
   IrcResult R = iteratedRegisterCoalescing(P);
   EXPECT_EQ(R.Stats.CoalescedAffinities, 0u);
   EXPECT_EQ(R.ConstrainedMoves, 1u);
@@ -123,7 +125,7 @@ TEST(IrcTest, EmptyProblem) {
 TEST(IrcTest, MoveChainCollapses) {
   // A chain of moves with no interference collapses to one register.
   CoalescingProblem P;
-  P.G = Graph(5);
+  P.G = GraphBuilder(5).build();
   P.K = 2;
   for (unsigned I = 0; I + 1 < 5; ++I)
     P.Affinities.push_back({I, I + 1, 1.0});

@@ -60,10 +60,11 @@ unsigned vertexCoverBruteForce(const Graph &G) {
 
 TEST(MultiwayCutTest, DisconnectedTerminalsNeedNoCut) {
   MultiwayCutInstance Instance;
-  Instance.G = Graph(4);
-  Instance.G.addEdge(0, 1);
-  Instance.G.addEdge(2, 3);
+  GraphBuilder GB(4);
+  GB.addEdge(0, 1);
+  GB.addEdge(2, 3);
   Instance.Terminals = {0, 2};
+  Instance.G = std::move(GB).build();
   EXPECT_EQ(solveMultiwayCutExact(Instance).CutSize, 0u);
 }
 
@@ -96,7 +97,7 @@ TEST(MultiwayCutTest, MatchesBruteForce) {
 }
 
 TEST(VertexCoverTest, KnownCovers) {
-  EXPECT_EQ(solveVertexCoverExact(Graph(5)).Size, 0u);
+  EXPECT_EQ(solveVertexCoverExact(GraphBuilder(5).build()).Size, 0u);
   EXPECT_EQ(solveVertexCoverExact(Graph::path(2)).Size, 1u);
   EXPECT_EQ(solveVertexCoverExact(Graph::cycle(5)).Size, 3u);
   EXPECT_EQ(solveVertexCoverExact(Graph::complete(4)).Size, 3u);

@@ -30,7 +30,7 @@ CoalescingProblem randomInstance(Rng &Rand, unsigned N, unsigned NumAff) {
 
 TEST(OptimisticTest, TrivialInstanceCoalescesAll) {
   CoalescingProblem P;
-  P.G = Graph(4);
+  P.G = GraphBuilder(4).build();
   P.K = 1;
   P.Affinities = {{0, 1, 1.0}, {2, 3, 1.0}};
   OptimisticResult R = optimisticCoalesce(P);
@@ -45,10 +45,11 @@ TEST(OptimisticTest, DeCoalescesWhenPressureTooHigh) {
   // (0,2) and (1,2): they cannot BOTH merge (0-1 edge). Aggressive takes
   // one; the graph stays greedy-2-colorable.
   CoalescingProblem P;
-  P.G = Graph(3);
-  P.G.addEdge(0, 1);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 1);
   P.K = 2;
   P.Affinities = {{0, 2, 2.0}, {1, 2, 1.0}};
+  P.G = std::move(GB).build();
   OptimisticResult R = optimisticCoalesce(P);
   EXPECT_TRUE(R.GreedyKColorable);
   EXPECT_EQ(R.Stats.CoalescedAffinities, 1u);
@@ -101,13 +102,14 @@ TEST(OptimisticTest, DissolutionCountsReported) {
   // Force pressure: clique K3 with k=3 and affinities trying to merge
   // opposite pendant vertices into a K4.
   CoalescingProblem P;
-  P.G = Graph::complete(3);
-  unsigned A = P.G.addVertex();
-  unsigned B = P.G.addVertex();
-  P.G.addEdge(A, 0);
-  P.G.addEdge(A, 1);
-  P.G.addEdge(B, 1);
-  P.G.addEdge(B, 2);
+  GraphBuilder GB(Graph::complete(3));
+  unsigned A = GB.addVertices(1);
+  unsigned B = GB.addVertices(1);
+  GB.addEdge(A, 0);
+  GB.addEdge(A, 1);
+  GB.addEdge(B, 1);
+  GB.addEdge(B, 2);
+  P.G = std::move(GB).build();
   P.K = 3;
   // a can merge with 2, b with 0; doing both plus... add affinity (a,b):
   // merging a-b gives a vertex adjacent to 0,1,2 => K4 => not

@@ -13,11 +13,12 @@ using namespace rc;
 using namespace rc::ir;
 
 TEST(GraphWriterTest, DotContainsEdgesAndAffinities) {
-  Graph G(3);
-  G.addEdge(0, 1);
+  GraphBuilder GB(3);
+  GB.addEdge(0, 1);
   std::vector<Affinity> Affinities = {{1, 2, 3.5}};
   std::vector<std::string> Names = {"a", "b", "c"};
   std::ostringstream OS;
+  Graph G = std::move(GB).build();
   writeDot(OS, G, Affinities, Names);
   std::string Dot = OS.str();
   EXPECT_NE(Dot.find("graph interference"), std::string::npos);
@@ -27,9 +28,10 @@ TEST(GraphWriterTest, DotContainsEdgesAndAffinities) {
 }
 
 TEST(GraphWriterTest, DefaultNamesAreVPrefixed) {
-  Graph G(2);
-  G.addEdge(0, 1);
+  GraphBuilder GB(2);
+  GB.addEdge(0, 1);
   std::ostringstream OS;
+  Graph G = std::move(GB).build();
   writeDot(OS, G);
   EXPECT_NE(OS.str().find("\"v0\" -- \"v1\";"), std::string::npos);
 }

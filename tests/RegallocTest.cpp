@@ -232,31 +232,31 @@ struct AllocatorGoldenRow {
 // coalescing decision or a color moves at least one of these numbers.
 const AllocatorGoldenRow AllocatorGoldenRows[] = {
     {8, 1, 4, {3, 14, 44, 16, 17, 0}, {3, 14, 38, 16, 17, 0}},
-    {8, 1, 8, {3, 8, 27, 8, 16, 1}, {3, 7, 23, 7, 13, 4}},
+    {8, 1, 8, {3, 8, 27, 8, 16, 1}, {4, 7, 23, 7, 13, 4}},
     {8, 1, 16, {1, 0, 0, 0, 11, 6}, {1, 0, 0, 0, 11, 6}},
     {8, 2, 4, {3, 13, 44, 17, 18, 1}, {4, 15, 47, 18, 18, 1}},
     {8, 2, 8, {2, 4, 25, 4, 16, 3}, {3, 4, 25, 4, 16, 3}},
     {8, 2, 16, {1, 0, 0, 0, 13, 6}, {1, 0, 0, 0, 13, 6}},
-    {8, 3, 4, {2, 11, 42, 12, 17, 1}, {3, 10, 40, 10, 16, 2}},
+    {8, 3, 4, {2, 11, 42, 12, 17, 1}, {5, 12, 48, 14, 18, 0}},
     {8, 3, 8, {2, 4, 25, 4, 16, 2}, {2, 2, 11, 2, 10, 8}},
     {8, 3, 16, {1, 0, 0, 0, 10, 8}, {1, 0, 0, 0, 10, 8}},
-    {16, 1, 4, {3, 34, 91, 37, 39, 1}, {4, 34, 91, 40, 39, 1}},
+    {16, 1, 4, {3, 34, 91, 37, 39, 1}, {3, 33, 89, 36, 39, 1}},
     {16, 1, 8, {3, 26, 78, 26, 38, 2}, {3, 23, 70, 23, 37, 3}},
-    {16, 1, 16, {3, 15, 56, 15, 35, 5}, {3, 13, 42, 13, 29, 11}},
-    {16, 2, 4, {3, 29, 109, 32, 31, 1}, {3, 29, 106, 32, 31, 1}},
-    {16, 2, 8, {3, 18, 92, 21, 31, 1}, {4, 19, 80, 22, 31, 1}},
-    {16, 2, 16, {3, 7, 42, 9, 29, 3}, {4, 7, 38, 8, 24, 8}},
-    {16, 3, 4, {4, 22, 94, 26, 34, 0}, {3, 21, 88, 23, 32, 2}},
+    {16, 1, 16, {3, 15, 56, 15, 35, 5}, {3, 13, 42, 13, 28, 12}},
+    {16, 2, 4, {3, 29, 109, 32, 31, 1}, {4, 30, 107, 33, 31, 1}},
+    {16, 2, 8, {3, 18, 92, 21, 31, 1}, {3, 18, 83, 21, 31, 1}},
+    {16, 2, 16, {3, 7, 42, 9, 29, 3}, {5, 8, 44, 10, 26, 6}},
+    {16, 3, 4, {4, 22, 94, 26, 34, 0}, {3, 20, 87, 22, 32, 2}},
     {16, 3, 8, {2, 12, 61, 12, 31, 3}, {3, 12, 63, 12, 32, 2}},
     {16, 3, 16, {2, 4, 24, 4, 26, 8}, {2, 3, 20, 3, 22, 12}},
-    {32, 1, 4, {3, 44, 188, 45, 73, 1}, {3, 44, 187, 46, 73, 1}},
+    {32, 1, 4, {3, 44, 188, 45, 73, 1}, {3, 44, 186, 45, 73, 1}},
     {32, 1, 8, {3, 38, 170, 39, 68, 6}, {4, 38, 166, 39, 69, 5}},
-    {32, 1, 16, {2, 28, 142, 28, 63, 11}, {4, 26, 124, 27, 60, 14}},
-    {32, 2, 4, {4, 52, 224, 62, 75, 0}, {4, 50, 220, 56, 74, 1}},
-    {32, 2, 8, {3, 34, 192, 36, 72, 3}, {3, 34, 191, 38, 73, 2}},
-    {32, 2, 16, {3, 23, 165, 23, 70, 5}, {3, 21, 156, 21, 69, 6}},
-    {32, 3, 4, {3, 39, 193, 47, 71, 1}, {4, 39, 191, 45, 69, 3}},
-    {32, 3, 8, {3, 19, 150, 23, 65, 7}, {3, 17, 145, 20, 65, 7}},
+    {32, 1, 16, {2, 28, 142, 28, 63, 11}, {3, 26, 124, 27, 60, 14}},
+    {32, 2, 4, {4, 52, 224, 62, 75, 0}, {4, 52, 216, 64, 74, 1}},
+    {32, 2, 8, {3, 34, 192, 36, 72, 3}, {3, 34, 190, 34, 71, 4}},
+    {32, 2, 16, {3, 23, 165, 23, 70, 5}, {3, 21, 158, 21, 68, 7}},
+    {32, 3, 4, {3, 39, 193, 47, 71, 1}, {4, 39, 188, 44, 68, 4}},
+    {32, 3, 8, {3, 19, 150, 23, 65, 7}, {3, 17, 141, 18, 64, 8}},
     {32, 3, 16, {2, 6, 81, 6, 54, 18}, {2, 5, 54, 5, 52, 20}},
 };
 

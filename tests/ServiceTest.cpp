@@ -16,6 +16,7 @@
 #include "service/Service.h"
 #include "service/ServiceLoop.h"
 #include "service/WireProtocol.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -458,6 +459,51 @@ TEST(ServiceTest, GoldenCorpusColdAndWarmByteIdentity) {
   EXPECT_EQ(S.Completed, 24u);
   EXPECT_EQ(S.CacheHits, 24u);
   EXPECT_EQ(S.CacheMisses, 24u);
+}
+
+// A warm hit on the same instance with its edges inserted in another order
+// returns the bytes of that instance's own cold runStrategy solve: the cache
+// key ignores insertion order, and so must every answer. The specs are the
+// six cheap ones the service-socket benchmark mixes.
+TEST(ServiceTest, PermutedInstanceWarmHitMatchesItsOwnColdSolve) {
+  const std::vector<std::string> Specs = {"aggressive", "briggs+george",
+                                          "george",     "optimistic",
+                                          "irc",        "biased-select"};
+  ServiceConfig Config;
+  Config.Workers = 2;
+  Config.QueueLimit = 64;
+  Config.CacheCapacity = 256;
+  Config.IncludeTiming = false;
+  CoalescingService Service(Config);
+
+  Rng Rand(19);
+  for (const LabeledProblem &LP : goldenChallengeCorpus()) {
+    const Graph &G = LP.Problem.G;
+    std::vector<std::pair<unsigned, unsigned>> Edges;
+    for (unsigned U = 0; U < G.numVertices(); ++U)
+      for (unsigned V : G.neighbors(U))
+        if (U < V)
+          Edges.push_back({V, U});
+    for (size_t I = Edges.size(); I > 1; --I)
+      std::swap(Edges[I - 1], Edges[Rand.nextBelow(I)]);
+    GraphBuilder B(G.numVertices());
+    for (auto [U, V] : Edges)
+      B.addEdge(U, V);
+    CoalescingProblem Permuted = LP.Problem;
+    Permuted.G = std::move(B).build();
+
+    for (const std::string &Spec : Specs) {
+      ServiceReply Cold =
+          Service.submit(makeWireRequest(LP.Problem, Spec)).get();
+      EXPECT_FALSE(Cold.CacheHit) << LP.Label << " " << Spec;
+      ServiceReply Warm =
+          Service.submit(makeWireRequest(Permuted, Spec)).get();
+      EXPECT_EQ(Warm.Status, ReplyStatus::Ok) << LP.Label << " " << Spec;
+      EXPECT_TRUE(Warm.CacheHit) << LP.Label << " " << Spec;
+      EXPECT_EQ(Warm.Payload, singleShotPayload(Permuted, Spec))
+          << LP.Label << " " << Spec;
+    }
+  }
 }
 
 TEST(ServiceTest, BadSpecsAnsweredImmediatelyWithOffendingOption) {

@@ -80,6 +80,10 @@ std::vector<std::string> pipePathPayloads(
 
   ServiceConfig Config;
   Config.IncludeTiming = false;
+  // Admit the whole corpus at once: the loop reads every frame before the
+  // workers finish, so on a loaded host the default limit of 16 would turn
+  // the reference for the later instances into busy replies.
+  Config.QueueLimit = static_cast<unsigned>(Corpus.size());
   CoalescingService Service(Config);
   std::istringstream IS(In.str());
   std::ostringstream OS;

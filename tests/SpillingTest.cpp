@@ -49,21 +49,22 @@ SpillResult referenceSpillToGreedyK(const Graph &G, unsigned K,
 
 /// \p G with the same edges in sparse (sorted-row) representation.
 Graph sparseCopy(const Graph &G) {
-  Graph Sparse(G.numVertices(), /*DenseThreshold=*/0);
+  GraphBuilder Sparse(G.numVertices(), /*DenseThreshold=*/0);
   for (unsigned U = 0; U < G.numVertices(); ++U)
     for (unsigned V : G.neighbors(U))
       if (U < V)
         Sparse.addEdge(U, V);
-  return Sparse;
+  return std::move(Sparse).build();
 }
 
 /// A random graph greedy-K-colorable by construction: each vertex joins at
 /// most K - 1 earlier ones, so peeling in reverse id order never sticks.
 Graph degenerateGraph(unsigned N, unsigned K, Rng &Rand) {
-  Graph G(N);
+  GraphBuilder GB(N);
   for (unsigned V = 1; V < N; ++V)
     for (unsigned I = 0; I + 1 < K; ++I)
-      G.addEdge(V, static_cast<unsigned>(Rand.nextBelow(V)));
+      GB.addEdge(V, static_cast<unsigned>(Rand.nextBelow(V)));
+  Graph G = std::move(GB).build();
   return G;
 }
 
@@ -155,7 +156,7 @@ TEST(SpillingTest, OnePeelMatchesRebuildReference) {
       unsigned N = 1 + static_cast<unsigned>(Rand.nextBelow(48));
       Shapes.push_back(randomGraph(N, 0.05 + 0.6 * Rand.nextDouble(), Rand));
       Shapes.push_back(Graph::complete(1 + Trial % 12));
-      Shapes.push_back(Graph(static_cast<unsigned>(Trial)));
+      Shapes.push_back(GraphBuilder(static_cast<unsigned>(Trial)).build());
       Shapes.push_back(randomChordalGraph(N, 1 + N / 2, 1 + K, Rand));
       Shapes.push_back(degenerateGraph(N, K, Rand));
       if (Trial % 4 == 0)

@@ -27,8 +27,10 @@
 #include "challenge/ChallengeInstance.h"
 #include "challenge/StrategyRegistry.h"
 #include "runner/BatchRunner.h"
+#include "runner/GapReport.h"
 #include "runner/SweepManifest.h"
 #include "support/Random.h"
+#include "testing/Oracles.h"
 
 #include <gtest/gtest.h>
 
@@ -135,6 +137,25 @@ TEST(StrategyGoldenTest, StatsMatchPreRefactorRecording) {
   }
   EXPECT_EQ(Checked, Lines.size());
 }
+
+// The order-invariance oracle over the 24 golden instances, one test per
+// seed so ctest can spread them: reversed and shuffled edge insertion and
+// the text and RCBF round trips leave every registered strategy's outcome
+// bytes unchanged.
+class StrategyGoldenOrderTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StrategyGoldenOrderTest, OutcomesIgnoreEdgeInsertionOrder) {
+  static const std::vector<LabeledProblem> Corpus = goldenChallengeCorpus();
+  ASSERT_EQ(Corpus.size(), 24u);
+  const LabeledProblem &LP = Corpus[GetParam()];
+  Rng Rand(GetParam() + 1);
+  std::string Error;
+  EXPECT_TRUE(rc::testing::checkOrderInvariance(LP.Problem, Rand, &Error))
+      << LP.Label << ": " << Error;
+}
+
+INSTANTIATE_TEST_SUITE_P(GoldenSeeds, StrategyGoldenOrderTest,
+                         ::testing::Range(0u, 24u));
 
 TEST(StrategyGoldenTest, SparseSweepJsonlMatchesRecording) {
   std::string Dir(RC_TEST_DATA_DIR);

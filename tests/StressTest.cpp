@@ -122,11 +122,12 @@ TEST(IrcSpillCostTest, UniformCostsPickHighDegree) {
   // A clique K5 plus a pendant chain raising one vertex's degree: with
   // uniform costs the max-degree vertex is the canonical victim.
   CoalescingProblem P;
-  P.G = Graph::complete(5);
+  GraphBuilder GB(Graph::complete(5));
   for (int I = 0; I < 4; ++I) {
-    unsigned V = P.G.addVertex();
-    P.G.addEdge(0, V);
+    unsigned V = GB.addVertices(1);
+    GB.addEdge(0, V);
   }
+  P.G = std::move(GB).build();
   P.K = 4;
   IrcResult R = iteratedRegisterCoalescing(P);
   ASSERT_FALSE(R.Spilled.empty());

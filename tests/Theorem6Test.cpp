@@ -47,14 +47,15 @@ TEST(Theorem6Test, AllAffinitiesCoalescable) {
 TEST(Theorem6Test, IsolatedStructureUnravelsWhenMerged) {
   // A graph with no edges: the merged structures have no external props and
   // must be eaten entirely.
-  Graph G(3);
+  Graph G = GraphBuilder(3).build();
   Theorem6Reduction R = Theorem6Reduction::build(G);
   EXPECT_TRUE(coverYieldsGreedy(R, {false, false, false}));
 }
 
 TEST(Theorem6Test, SingleEdgeNeedsOneDeCoalescing) {
-  Graph G(2);
-  G.addEdge(0, 1);
+  GraphBuilder GB(2);
+  GB.addEdge(0, 1);
+  Graph G = std::move(GB).build();
   Theorem6Reduction R = Theorem6Reduction::build(G);
   // Neither de-coalesced: stuck.
   EXPECT_FALSE(coverYieldsGreedy(R, {false, false}));

@@ -24,10 +24,11 @@ namespace {
 
 /// Path 0-1-2-3 plus isolated 4: small enough to reason about by hand.
 Graph pathGraph() {
-  Graph G(5);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
+  GraphBuilder GB(5);
+  GB.addEdge(0, 1);
+  GB.addEdge(1, 2);
+  GB.addEdge(2, 3);
+  Graph G = std::move(GB).build();
   return G;
 }
 
@@ -185,8 +186,9 @@ TEST(WorkGraphColorabilityTest, MatchesMaterializedQuotient) {
 
 TEST(WorkGraphColorabilityTest, StuckRepsNameTheKCore) {
   // K3 needs 3 colors: with k=2 every vertex is stuck; with k=3 none.
-  Graph G(4);
-  G.addClique({0, 1, 2});
+  GraphBuilder GB(4);
+  GB.addClique({0, 1, 2});
+  Graph G = std::move(GB).build();
   WorkGraph WG(G);
   std::vector<unsigned> Stuck;
   EXPECT_FALSE(WG.quotientGreedyKColorable(2, &Stuck));
@@ -246,11 +248,12 @@ TEST(WorkGraphLocalColorabilityTest, ScreenPassesWithoutPeeling) {
   // 2 and 3 all have degree 2, but 2 and 3 have only one significant
   // neighbor each (C), so C has no k-core candidate neighbor: the
   // three-round screen decides.
-  Graph G(6);
-  G.addEdge(0, 2);
-  G.addEdge(2, 4);
-  G.addEdge(1, 3);
-  G.addEdge(3, 5);
+  GraphBuilder GB(6);
+  GB.addEdge(0, 2);
+  GB.addEdge(2, 4);
+  GB.addEdge(1, 3);
+  GB.addEdge(3, 5);
+  Graph G = std::move(GB).build();
   expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/true, {});
 }
 
@@ -259,13 +262,14 @@ TEST(WorkGraphLocalColorabilityTest, OnlyTheLocalPeelPasses) {
   // two significant neighbors, so C keeps k candidate neighbors and the
   // screen cannot decide; peeling the candidate component {2, C, 3}
   // dissolves it.
-  Graph G(8);
-  G.addEdge(6, 4);
-  G.addEdge(4, 2);
-  G.addEdge(2, 0);
-  G.addEdge(1, 3);
-  G.addEdge(3, 5);
-  G.addEdge(5, 7);
+  GraphBuilder GB(8);
+  GB.addEdge(6, 4);
+  GB.addEdge(4, 2);
+  GB.addEdge(2, 0);
+  GB.addEdge(1, 3);
+  GB.addEdge(3, 5);
+  GB.addEdge(5, 7);
+  Graph G = std::move(GB).build();
   expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/true, {});
 }
 
@@ -274,13 +278,14 @@ TEST(WorkGraphLocalColorabilityTest, RejectionNamesTheSameStuckSet) {
   // the separate edge 3-7 peel away. The stuck set is the cycle, named by
   // its representatives (0 keeps the merged class) in ascending order,
   // which is not the order the local check reaches them (0, 5, 6, 2).
-  Graph G(8);
-  G.addEdge(0, 5);
-  G.addEdge(5, 2);
-  G.addEdge(2, 6);
-  G.addEdge(6, 1);
-  G.addEdge(2, 4);
-  G.addEdge(3, 7);
+  GraphBuilder GB(8);
+  GB.addEdge(0, 5);
+  GB.addEdge(5, 2);
+  GB.addEdge(2, 6);
+  GB.addEdge(6, 1);
+  GB.addEdge(2, 4);
+  GB.addEdge(3, 7);
+  Graph G = std::move(GB).build();
   expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/false, {0, 2, 5, 6});
 }
 
