@@ -51,8 +51,8 @@ BENCHMARK(BM_ConservativeLegacy<ConservativeRule::Briggs>)->Range(64, 2048);
 BENCHMARK(BM_ConservativeRule<ConservativeRule::George>)->Range(64, 2048);
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BriggsOrGeorge>)
     ->Range(64, 2048);
-// 8192 is past Graph::DefaultDenseThreshold, so the last row times the
-// sparse engine's brute-force probes.
+// 8192 is past WorkGraph's dense threshold (4096), so the last row times
+// the sparse engine's brute-force probes.
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BruteForce>)
     ->Range(64, 2048)
     ->Arg(8192);

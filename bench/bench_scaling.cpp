@@ -5,16 +5,16 @@
 // with n; the exact solvers for the NP-complete problems (k-coloring,
 // aggressive optimum, de-coalescing optimum) blow up on the same families.
 //
-// The BM_Scale* group exercises the hybrid sparse representation at
-// 10^5..10^6 vertices: graph construction and the scalable coalescing
-// heuristics on arena-backed CSR adjacency. Each runs a single iteration
-// (these are scaling records, not microbenchmarks); edge/affinity counters
-// in the output let the recorded BENCH_scaling.json show time per edge.
-// It does not stay flat: the recorded BM_ScaleConservativeBriggs (one
-// 2.1 GHz vCPU) takes 801 ms for 1.06M edges and 21.0 s for 16.9M, 26x
-// the time for 16x the edges. Attributing that superlinear term to a phase
-// is the ROADMAP's layer-by-layer timing item. tools/bench_baseline.sh
-// scaling records them.
+// The BM_Scale* group runs at 10^5..10^6 vertices: GraphBuilder's freeze
+// and the scalable coalescing heuristics on WorkGraph's sparse,
+// arena-backed CSR adjacency. Each runs a single iteration (these are
+// scaling records, not microbenchmarks); edge/affinity counters in the
+// output let the recorded BENCH_scaling.json show time per edge. It does
+// not stay flat: the recorded BM_ScaleConservativeBriggs (one thread on a
+// 2.1 GHz vCPU) takes 435 ms for 1.06M edges and 12.0 s for 16.9M, 28x
+// the time for 16x the edges. Attributing that superlinear term to a
+// phase is the ROADMAP's layer-by-layer timing item.
+// tools/bench_baseline.sh scaling records them.
 //
 //===----------------------------------------------------------------------===//
 

@@ -72,12 +72,13 @@ CoalescingProblem rc::generateProgramChallengeInstance(
   GenOptions.CopyProbability = Options.CopyProbability;
 
   ir::Function F = ir::generateRandomSsaFunction(GenOptions, Rand);
-  ir::InterferenceGraph IG = ir::buildInterferenceGraph(F);
+  ir::Liveness L = ir::Liveness::compute(F);
+  ir::InterferenceGraph IG = ir::buildInterferenceGraph(F, L);
 
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
-  P.K = ir::computeMaxlive(F) + Options.PressureSlack;
+  P.K = ir::computeMaxlive(F, L) + Options.PressureSlack;
   P.Names.reserve(F.numValues());
   for (ir::ValueId V = 0; V < F.numValues(); ++V)
     P.Names.push_back(F.valueName(V));

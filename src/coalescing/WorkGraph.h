@@ -76,11 +76,13 @@ namespace rc {
 /// are named by a representative original vertex.
 class WorkGraph {
 public:
-  /// Keeps the dense class-pair bit rows up to \p DenseThreshold vertices
-  /// (4096 vertices cost two megabytes of matrix) — the same switch point
-  /// as Graph's own adjacency.
+  /// Largest vertex count that keeps the dense class-pair bit rows (4096
+  /// vertices cost two megabytes of matrix).
+  static constexpr unsigned DefaultDenseThreshold = 4096;
+
+  /// Keeps the dense class-pair bit rows up to \p DenseThreshold vertices.
   explicit WorkGraph(const Graph &G,
-                     unsigned DenseThreshold = Graph::DefaultDenseThreshold);
+                     unsigned DenseThreshold = DefaultDenseThreshold);
 
   WorkGraph(const WorkGraph &) = default;
   WorkGraph &operator=(const WorkGraph &) = delete;

@@ -66,7 +66,8 @@ bool rc::isPerfectEliminationOrder(const Graph &G,
 
   // Standard linear-time certification (Golumbic): for each vertex V, let P
   // be its earliest later-neighbor; then the remaining later-neighbors of V
-  // must all be neighbors of P. Batch the containment checks per P.
+  // must all be neighbors of P. Batch the containment checks per P, each
+  // against one stamp of P's row.
   std::vector<std::vector<unsigned>> MustBeAdjacentTo(N);
   for (unsigned V = 0; V < N; ++V) {
     unsigned Parent = ~0u;
@@ -80,9 +81,15 @@ bool rc::isPerfectEliminationOrder(const Graph &G,
       if (Position[W] > Position[V] && W != Parent)
         MustBeAdjacentTo[Parent].push_back(W);
   }
+  // Stamp[W] == P exactly when W is a neighbor of the P being checked.
+  std::vector<unsigned> Stamp(N, ~0u);
   for (unsigned P = 0; P < N; ++P) {
+    if (MustBeAdjacentTo[P].empty())
+      continue;
+    for (unsigned W : G.neighbors(P))
+      Stamp[W] = P;
     for (unsigned W : MustBeAdjacentTo[P])
-      if (!G.hasEdge(P, W))
+      if (Stamp[W] != P)
         return false;
   }
   return true;

@@ -2,6 +2,8 @@
 
 #include "graph/Graph.h"
 
+#include <cstdint>
+
 using namespace rc;
 
 namespace {
@@ -19,7 +21,6 @@ Graph Graph::freeze(unsigned NumVertices, const std::vector<unsigned> &Degree,
                     EdgeWalk ForEachEdge) {
   Graph G;
   G.NumV = NumVertices;
-  G.Dense = false;
   G.RowStart.resize(static_cast<size_t>(NumVertices) + 1);
   size_t Total = 0;
   for (unsigned V = 0; V < NumVertices; ++V) {
@@ -38,7 +39,7 @@ Graph Graph::freeze(unsigned NumVertices, const std::vector<unsigned> &Degree,
 }
 
 Graph Graph::fromSortedEdges(unsigned NumVertices, const unsigned char *PairsLE,
-                             size_t NumEdges, unsigned DenseThreshold) {
+                             size_t NumEdges) {
   std::vector<unsigned> Degree(NumVertices, 0);
   for (size_t I = 0; I < NumEdges; ++I) {
     const unsigned char *P = PairsLE + 8 * I;
@@ -46,21 +47,12 @@ Graph Graph::fromSortedEdges(unsigned NumVertices, const unsigned char *PairsLE,
     ++Degree[loadU32LE(P + 4)];
   }
   // Sorted (u < v) pairs are the lexicographic order freeze() asks for.
-  Graph G = freeze(NumVertices, Degree, [&](auto Emit) {
+  return freeze(NumVertices, Degree, [&](auto Emit) {
     for (size_t I = 0; I < NumEdges; ++I) {
       const unsigned char *P = PairsLE + 8 * I;
       Emit(loadU32LE(P), loadU32LE(P + 4));
     }
   });
-  if (NumVertices <= DenseThreshold) {
-    G.Dense = true;
-    G.Edges.reset(NumVertices);
-    for (unsigned U = 0; U < NumVertices; ++U)
-      for (unsigned V : G.neighbors(U))
-        if (V > U)
-          G.Edges.set(U, V);
-  }
-  return G;
 }
 
 bool Graph::isClique(VertexSpan Vertices) const {
@@ -181,15 +173,6 @@ Graph Graph::path(unsigned N) {
   return std::move(B).build();
 }
 
-GraphBuilder::GraphBuilder(unsigned NumVertices, unsigned DenseThreshold)
-    : NumV(NumVertices), DenseThreshold(DenseThreshold),
-      Dense(NumVertices <= DenseThreshold) {
-  if (Dense) {
-    Matrix.reset(NumV);
-    Degree.assign(NumV, 0);
-  }
-}
-
 GraphBuilder::GraphBuilder(const Graph &G) : GraphBuilder(G.numVertices()) {
   for (unsigned U = 0; U < NumV; ++U)
     for (unsigned V : G.neighbors(U))
@@ -199,22 +182,8 @@ GraphBuilder::GraphBuilder(const Graph &G) : GraphBuilder(G.numVertices()) {
 
 unsigned GraphBuilder::addVertices(unsigned Count) {
   unsigned First = NumV;
-  if (Dense && NumV + Count > DenseThreshold)
-    dropMatrix();
   NumV += Count;
-  if (Dense) {
-    Matrix.grow(NumV);
-    Degree.resize(NumV, 0);
-  }
   return First;
-}
-
-void GraphBuilder::dropMatrix() {
-  for (unsigned Hi = 1; Hi < NumV; ++Hi)
-    Matrix.forEachBelow(Hi, [&](unsigned Lo) { Pairs.push_back({Lo, Hi}); });
-  Matrix.reset(0);
-  std::vector<unsigned>().swap(Degree);
-  Dense = false;
 }
 
 void GraphBuilder::addClique(VertexSpan Vertices) {
@@ -224,17 +193,6 @@ void GraphBuilder::addClique(VertexSpan Vertices) {
 }
 
 Graph GraphBuilder::build() && {
-  if (Dense) {
-    // Walking the triangle row by row emits (Hi, Lo) pairs in
-    // lexicographic order, each edge once.
-    Graph G = Graph::freeze(NumV, Degree, [&](auto Emit) {
-      for (unsigned Hi = 1; Hi < NumV; ++Hi)
-        Matrix.forEachBelow(Hi, [&](unsigned Lo) { Emit(Hi, Lo); });
-    });
-    G.Dense = true;
-    G.Edges = std::move(Matrix);
-    return G;
-  }
   // Two counting passes sort the pairs: by Lo into ByLo, then by Hi into
   // Down, scanning Lo ascending so that each vertex's row of smaller
   // neighbors comes out ascending with its repeats adjacent.
@@ -277,10 +235,9 @@ Graph GraphBuilder::build() && {
     DownEnd[Hi] = Out;
     Deg[Hi] += static_cast<unsigned>(Out - HiStart[Hi]);
   }
-  Graph G = Graph::freeze(NumV, Deg, [&](auto Emit) {
+  return Graph::freeze(NumV, Deg, [&](auto Emit) {
     for (unsigned Hi = 0; Hi < NumV; ++Hi)
       for (size_t I = HiStart[Hi]; I < DownEnd[Hi]; ++I)
         Emit(Hi, Down[I]);
   });
-  return G;
 }

@@ -15,17 +15,14 @@
 /// a function of the edge set alone, so every reader that walks
 /// neighbors() (IRC's adjacency lists, greedy elimination, the canonical
 /// instance encodings) sees the same order however the edges were
-/// inserted. Up to DefaultDenseThreshold vertices a triangular bit matrix
-/// (one megabyte at 4096) additionally answers hasEdge in O(1); above it
-/// hasEdge is a binary search of the shorter row and memory stays
-/// O(V + E).
+/// inserted. hasEdge is a binary search of the shorter row, and memory is
+/// O(V + E) at every size.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRAPH_GRAPH_H
 #define GRAPH_GRAPH_H
 
-#include "support/BitMatrix.h"
 #include "support/VertexSpan.h"
 
 #include <algorithm>
@@ -40,16 +37,11 @@ namespace rc {
 /// An immutable undirected simple graph over vertices 0..numVertices()-1.
 class Graph {
 public:
-  /// Largest vertex count that keeps the hasEdge bit matrix.
-  static constexpr unsigned DefaultDenseThreshold = 4096;
-
   /// The empty graph.
   Graph() = default;
 
   /// Returns true if the edge (\p U, \p V) exists. The diagonal is false.
   bool hasEdge(unsigned U, unsigned V) const {
-    if (Dense)
-      return Edges.test(U, V);
     assert(U < NumV && V < NumV && "vertex out of range");
     if (U == V)
       return false;
@@ -66,10 +58,6 @@ public:
 
   /// Returns the number of edges.
   unsigned numEdges() const { return NumEdges; }
-
-  /// True when hasEdge is answered by the bit matrix rather than a binary
-  /// search of the rows.
-  bool usesDenseRepresentation() const { return Dense; }
 
   /// Returns the degree of \p V.
   unsigned degree(unsigned V) const {
@@ -121,8 +109,7 @@ public:
   /// binary instance format. The caller must have validated ranges and
   /// ordering. The pairs feed the same row fill as GraphBuilder::build().
   static Graph fromSortedEdges(unsigned NumVertices,
-                               const unsigned char *PairsLE, size_t NumEdges,
-                               unsigned DenseThreshold = DefaultDenseThreshold);
+                               const unsigned char *PairsLE, size_t NumEdges);
 
   /// Returns the complete graph on \p N vertices.
   static Graph complete(unsigned N);
@@ -136,8 +123,7 @@ public:
 private:
   friend class GraphBuilder;
 
-  /// Freezes the rows of a graph without the hasEdge matrix; the caller
-  /// attaches one if it keeps it. \p Degree holds each vertex's final
+  /// Freezes the rows of a graph. \p Degree holds each vertex's final
   /// degree, and \p ForEachEdge(Emit) calls Emit(A, B) once per edge in
   /// lexicographic (A, B) order, with A on the same side of B for every
   /// edge (all A < B, or all A > B). Appending both directions in that
@@ -150,25 +136,18 @@ private:
 
   unsigned NumV = 0;
   unsigned NumEdges = 0;
-  bool Dense = true;
   /// Row V is Nbrs[RowStart[V] .. RowStart[V + 1]), strictly ascending.
   std::vector<size_t> RowStart{0};
   std::vector<unsigned> Nbrs;
-  /// Triangular hasEdge matrix; sized only while Dense.
-  BitMatrix Edges;
 };
 
 /// Collects the vertices and edges of a Graph in any order. build()
-/// consumes it and freezes them once, deduplicating repeated edges. Up to
-/// the dense threshold it keeps the bit matrix that the graph will answer
-/// hasEdge with, so a repeated edge is dropped on arrival; above it edges
-/// are collected as pairs and deduplicated by the freeze.
+/// consumes it and freezes them once: edges are collected as pairs, and
+/// the freeze sorts them and drops repeats.
 class GraphBuilder {
 public:
-  /// Starts from \p NumVertices isolated vertices. A graph of at most
-  /// \p DenseThreshold vertices keeps the hasEdge bit matrix.
-  explicit GraphBuilder(unsigned NumVertices = 0,
-                        unsigned DenseThreshold = Graph::DefaultDenseThreshold);
+  /// Starts from \p NumVertices isolated vertices.
+  explicit GraphBuilder(unsigned NumVertices = 0) : NumV(NumVertices) {}
 
   /// Starts from the vertices and edges of \p G.
   explicit GraphBuilder(const Graph &G);
@@ -184,15 +163,7 @@ public:
   void addEdge(unsigned U, unsigned V) {
     assert(U < NumV && V < NumV && "vertex out of range");
     assert(U != V && "self loops are forbidden");
-    if (!Dense) {
-      Pairs.push_back(U < V ? std::make_pair(U, V) : std::make_pair(V, U));
-      return;
-    }
-    if (Matrix.test(U, V))
-      return;
-    Matrix.set(U, V);
-    ++Degree[U];
-    ++Degree[V];
+    Pairs.push_back(U < V ? std::make_pair(U, V) : std::make_pair(V, U));
   }
 
   /// Adds all edges among \p Vertices, turning them into a clique.
@@ -205,17 +176,8 @@ public:
   Graph build() &&;
 
 private:
-  /// Moves the matrix's edges into Pairs once the vertex count passes the
-  /// dense threshold.
-  void dropMatrix();
-
   unsigned NumV = 0;
-  unsigned DenseThreshold = Graph::DefaultDenseThreshold;
-  bool Dense = true;
-  /// Dense: the edge set and the degrees.
-  BitMatrix Matrix;
-  std::vector<unsigned> Degree;
-  /// Sparse: (lo, hi) pairs in arrival order, repeats included.
+  /// (lo, hi) pairs in arrival order, repeats included.
   std::vector<std::pair<unsigned, unsigned>> Pairs;
 };
 

@@ -18,11 +18,12 @@ ir::lowerOutOfSsaWithCoalescing(Function &F, OutOfSsaCoalescing Mode) {
   Stats.EdgesSplit = splitCriticalEdges(F);
 
   // 1-2. Interference graph with phi affinities, then coalesce.
-  InterferenceGraph IG = buildInterferenceGraph(F);
+  Liveness L = Liveness::compute(F);
+  InterferenceGraph IG = buildInterferenceGraph(F, L);
   CoalescingProblem P;
   P.G = std::move(IG.G);
   P.Affinities = std::move(IG.Affinities);
-  P.K = computeMaxlive(F);
+  P.K = computeMaxlive(F, L);
   CoalescingSolution Solution;
   if (Mode == OutOfSsaCoalescing::Aggressive)
     Solution = aggressiveCoalesceGreedy(P).Solution;

@@ -9,10 +9,10 @@ using namespace rc;
 using namespace rc::ir;
 
 InterferenceGraph ir::buildInterferenceGraph(const Function &F,
+                                             const Liveness &L,
                                              InterferenceMode Mode) {
   InterferenceGraph Result;
   GraphBuilder G(F.numValues());
-  Liveness L = Liveness::compute(F);
 
   std::vector<unsigned> EntryVec; // Phi-entry clique, reused per block.
   for (BlockId B = 0; B < F.numBlocks(); ++B) {

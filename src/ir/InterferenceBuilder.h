@@ -49,9 +49,16 @@ struct InterferenceGraph {
   std::vector<Affinity> Affinities;
 };
 
-/// Builds the interference graph of \p F.
+/// Builds the interference graph of \p F from its liveness \p L.
 InterferenceGraph buildInterferenceGraph(
-    const Function &F, InterferenceMode Mode = InterferenceMode::Intersection);
+    const Function &F, const Liveness &L,
+    InterferenceMode Mode = InterferenceMode::Intersection);
+
+/// Builds the interference graph of \p F, computing its liveness.
+inline InterferenceGraph buildInterferenceGraph(
+    const Function &F, InterferenceMode Mode = InterferenceMode::Intersection) {
+  return buildInterferenceGraph(F, Liveness::compute(F), Mode);
+}
 
 } // namespace ir
 } // namespace rc

@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A row-major symmetric boolean matrix. Unlike support/BitMatrix (which
-/// stores only the strict lower triangle and can answer nothing but
-/// single-pair queries), every row here is a contiguous word-aligned
-/// bitset, so set algebra over neighborhoods -- common-neighbor counts,
-/// masked popcounts -- runs word-at-a-time. The cost is storing every bit
-/// twice (N*N bits instead of N*(N-1)/2): 4096 rows cost 2 MiB.
+/// A row-major symmetric boolean matrix. Every row is a contiguous
+/// word-aligned bitset, so set algebra over neighborhoods --
+/// common-neighbor counts, masked popcounts -- runs word-at-a-time. The
+/// cost is storing every bit twice (N*N bits instead of N*(N-1)/2): 4096
+/// rows cost 2 MiB.
 ///
 /// The diagonal is implicitly false and cannot be set.
 ///

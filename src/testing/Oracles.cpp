@@ -47,12 +47,13 @@ bool testing::checkSsaChordalMaxlive(const ir::Function &F, std::string *Error,
   if (!ir::verifyStrictSsa(F, &Why))
     return fail(Error, "generated function is not strict SSA: " + Why);
 
-  ir::InterferenceGraph IG = buildInterferenceGraph(F);
+  ir::Liveness L = ir::Liveness::compute(F);
+  ir::InterferenceGraph IG = buildInterferenceGraph(F, L);
   if (!isChordal(IG.G))
     return fail(Error, "strict-SSA interference graph is not chordal");
 
   unsigned Omega = IG.G.numVertices() ? chordalCliqueNumber(IG.G) : 0;
-  unsigned Maxlive = ir::computeMaxlive(F);
+  unsigned Maxlive = ir::computeMaxlive(F, L);
   if (Omega != Maxlive) {
     std::ostringstream OS;
     OS << "omega(G) = " << Omega << " but Maxlive = " << Maxlive;

@@ -24,7 +24,7 @@
 ///  5. checkWorkGraphIncremental  -- the incremental merged-graph state
 ///     matches a rebuild-from-scratch quotient after every operation.
 ///  6. checkWorkGraphRollback     -- checkpoint/rollback round-trips restore
-///     the exact partition, and the dense (BitMatrix) and sparse
+///     the exact partition, and the dense (BitRows) and sparse
 ///     (sorted-vector) adjacency representations agree on everything.
 ///  7. checkExactGapSound         -- the exact branch-and-bound agrees with
 ///     an independent brute-force subset enumerator (bruteForceOptima) on

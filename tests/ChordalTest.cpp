@@ -56,6 +56,21 @@ TEST(ChordalTest, PeoRecognition) {
   Graph C4 = Graph::cycle(4);
   EXPECT_FALSE(isPerfectEliminationOrder(C4, {0, 1, 2, 3}));
   EXPECT_FALSE(isPerfectEliminationOrder(C4, {0, 2, 1, 3}));
+
+  // Under the order 0..4, vertex 0 has parent 2 and must see 4 next to it
+  // (it is); vertex 1 has parent 3 and must see 4 next to it, but edge
+  // (3, 4) is the one edge missing. 4 is a neighbor of the earlier parent
+  // 2, so a check that remembers 2's row while checking 3 would pass it.
+  GraphBuilder B(5);
+  for (auto [U, V] : {std::pair{0u, 2u}, {0u, 4u}, {2u, 4u}, {1u, 3u},
+                      {1u, 4u}})
+    B.addEdge(U, V);
+  Graph G = std::move(B).build();
+  EXPECT_FALSE(isPerfectEliminationOrder(G, {0, 1, 2, 3, 4}));
+  GraphBuilder WithEdge(G);
+  WithEdge.addEdge(3, 4);
+  EXPECT_TRUE(isPerfectEliminationOrder(std::move(WithEdge).build(),
+                                        {0, 1, 2, 3, 4}));
 }
 
 TEST(ChordalTest, PeoRejectsNonPermutations) {

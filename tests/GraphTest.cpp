@@ -2,7 +2,6 @@
 
 #include "graph/Graph.h"
 
-#include "graph/Generators.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -159,14 +158,53 @@ std::vector<std::pair<unsigned, unsigned>> edgeList(const Graph &G) {
   return Edges;
 }
 
-/// Builds \p Edges in the given order under \p DenseThreshold.
+/// Builds \p Edges in the given order.
 Graph buildInOrder(unsigned N,
-                   const std::vector<std::pair<unsigned, unsigned>> &Edges,
-                   unsigned DenseThreshold) {
-  GraphBuilder B(N, DenseThreshold);
+                   const std::vector<std::pair<unsigned, unsigned>> &Edges) {
+  GraphBuilder B(N);
   for (auto [U, V] : Edges)
     B.addEdge(U, V);
   return std::move(B).build();
+}
+
+/// 6N random edges on \p N vertices, repeats and both orientations
+/// included.
+std::vector<std::pair<unsigned, unsigned>> randomEdgeList(unsigned N,
+                                                          Rng &Rand) {
+  std::vector<std::pair<unsigned, unsigned>> Edges;
+  for (unsigned I = 0; I < 6 * N; ++I) {
+    unsigned U = static_cast<unsigned>(Rand.nextBelow(N));
+    unsigned V = static_cast<unsigned>(Rand.nextBelow(N));
+    if (U != V)
+      Edges.push_back({U, V});
+  }
+  return Edges;
+}
+
+/// Checks hasEdge on every vertex pair of \p G, the diagonal included,
+/// against \p Edges, and numEdges against its distinct pairs.
+void expectHasEdgeMatches(
+    const Graph &G, const std::vector<std::pair<unsigned, unsigned>> &Edges) {
+  unsigned N = G.numVertices();
+  std::vector<std::vector<unsigned>> Expected(N);
+  for (auto [U, V] : Edges) {
+    Expected[U].push_back(V);
+    Expected[V].push_back(U);
+  }
+  std::vector<char> InRow(N, 0);
+  size_t Degrees = 0;
+  for (unsigned U = 0; U < N; ++U) {
+    for (unsigned V : Expected[U])
+      if (!InRow[V]) {
+        InRow[V] = 1;
+        ++Degrees;
+      }
+    for (unsigned V = 0; V < N; ++V)
+      ASSERT_EQ(G.hasEdge(U, V), InRow[V] != 0) << U << "-" << V;
+    for (unsigned V : Expected[U])
+      InRow[V] = 0;
+  }
+  EXPECT_EQ(G.numEdges(), Degrees / 2);
 }
 
 void expectSameRows(const Graph &A, const Graph &B) {
@@ -176,89 +214,75 @@ void expectSameRows(const Graph &A, const Graph &B) {
     ASSERT_EQ(A.neighbors(V), B.neighbors(V)) << "row " << V;
 }
 
+const unsigned EverySize[] = {2, 9, 64, 700, 4396};
+
 } // namespace
 
 TEST(GraphTest, SparseModeMatchesDense) {
-  // The same edges, one graph answering hasEdge from the bit matrix and one
-  // (threshold 4) by binary search of its rows: every query agrees.
+  // hasEdge binary-searches the shorter sorted row; on every pair it
+  // answers what the edge set says.
   const std::vector<std::pair<unsigned, unsigned>> EdgeList = {
       {0, 1}, {0, 3}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7},
       {2, 7}, {1, 5}, {1, 0}};
-  Graph D = buildInOrder(8, EdgeList, Graph::DefaultDenseThreshold);
-  Graph S = buildInOrder(8, EdgeList, /*DenseThreshold=*/4);
-  EXPECT_TRUE(D.usesDenseRepresentation());
-  EXPECT_FALSE(S.usesDenseRepresentation());
-  EXPECT_EQ(D.numEdges(), 10u);
-  expectSameRows(D, S);
-  for (unsigned U = 0; U < 8; ++U)
-    for (unsigned V = 0; V < 8; ++V)
-      EXPECT_EQ(D.hasEdge(U, V), S.hasEdge(U, V)) << U << "-" << V;
-  EXPECT_EQ(D.connectedComponents(), S.connectedComponents());
+  Graph G = buildInOrder(8, EdgeList);
+  EXPECT_EQ(G.numEdges(), 10u);
+  expectHasEdgeMatches(G, EdgeList);
+  EXPECT_EQ(G.connectedComponents().size(), 1u);
 }
 
 TEST(GraphTest, NeighborsStrictlyAscendingAtEverySize) {
   // Rows are a function of the edge set: ascending, and identical for any
-  // insertion order, with or without the matrix, below and above the
-  // default threshold.
+  // insertion order. hasEdge agrees with the edge list, repeats and both
+  // orientations included.
   Rng Rand(21);
-  for (unsigned N : {2u, 9u, 64u, 700u, Graph::DefaultDenseThreshold + 300}) {
+  for (unsigned N : EverySize) {
     SCOPED_TRACE(N);
-    std::vector<std::pair<unsigned, unsigned>> Edges;
-    for (unsigned I = 0; I < 6 * N; ++I) {
-      unsigned U = static_cast<unsigned>(Rand.nextBelow(N));
-      unsigned V = static_cast<unsigned>(Rand.nextBelow(N));
-      if (U != V)
-        Edges.push_back({U, V}); // Repeats and both orientations included.
-    }
-    Graph Forward = buildInOrder(N, Edges, Graph::DefaultDenseThreshold);
-    EXPECT_EQ(Forward.usesDenseRepresentation(),
-              N <= Graph::DefaultDenseThreshold);
+    std::vector<std::pair<unsigned, unsigned>> Edges = randomEdgeList(N, Rand);
+    Graph Forward = buildInOrder(N, Edges);
     for (unsigned V = 0; V < N; ++V) {
       VertexSpan Row = Forward.neighbors(V);
       for (size_t I = 1; I < Row.size(); ++I)
         ASSERT_LT(Row[I - 1], Row[I]) << "row " << V;
     }
     std::reverse(Edges.begin(), Edges.end());
-    expectSameRows(Forward, buildInOrder(N, Edges, 0));
+    expectSameRows(Forward, buildInOrder(N, Edges));
     for (size_t I = Edges.size(); I > 1; --I)
       std::swap(Edges[I - 1], Edges[Rand.nextBelow(I)]);
-    expectSameRows(Forward,
-                   buildInOrder(N, Edges, Graph::DefaultDenseThreshold));
+    Graph Shuffled = buildInOrder(N, Edges);
+    expectSameRows(Forward, Shuffled);
+    expectHasEdgeMatches(Shuffled, Edges);
   }
 }
 
 TEST(GraphTest, FromSortedEdgesMatchesBuilder) {
   Rng Rand(4);
-  for (unsigned Threshold : {Graph::DefaultDenseThreshold, 0u}) {
-    Graph G = randomGraph(40, 0.2, Rand);
+  for (unsigned N : EverySize) {
+    SCOPED_TRACE(N);
+    Graph G = buildInOrder(N, randomEdgeList(N, Rand));
+    std::vector<std::pair<unsigned, unsigned>> Edges = edgeList(G);
     std::vector<unsigned char> Bytes;
-    for (auto [U, V] : edgeList(G))
+    for (auto [U, V] : Edges)
       for (unsigned X : {U, V})
         for (int B = 0; B < 4; ++B)
           Bytes.push_back(static_cast<unsigned char>(X >> (8 * B)));
-    Graph F = Graph::fromSortedEdges(40, Bytes.data(), G.numEdges(), Threshold);
-    EXPECT_EQ(F.usesDenseRepresentation(), Threshold != 0);
+    Graph F = Graph::fromSortedEdges(N, Bytes.data(), Edges.size());
     expectSameRows(G, F);
-    for (unsigned U = 0; U < 40; ++U)
-      for (unsigned V = 0; V < 40; ++V)
-        ASSERT_EQ(G.hasEdge(U, V), F.hasEdge(U, V));
+    expectHasEdgeMatches(F, Edges);
   }
 }
 
 TEST(GraphTest, BuilderSeededFromGraphCanPassTheThreshold) {
-  // A GraphBuilder seeded from a graph that grows past the dense threshold
-  // keeps every edge and drops the matrix.
+  // A GraphBuilder seeded from a graph keeps every edge while it grows by
+  // thousands of vertices, and takes new edges at both ends.
   Graph Small = Graph::cycle(5);
   GraphBuilder B(Small);
-  unsigned First = B.addVertices(Graph::DefaultDenseThreshold);
+  unsigned First = B.addVertices(4096);
   B.addEdge(0, First);
   B.addEdge(First, 4);
   Graph G = std::move(B).build();
-  EXPECT_FALSE(G.usesDenseRepresentation());
-  EXPECT_EQ(G.numEdges(), 7u);
+  EXPECT_EQ(G.numVertices(), 4101u);
   EXPECT_EQ(std::vector<unsigned>(G.neighbors(0)),
             (std::vector<unsigned>{1, 4, First}));
-  EXPECT_TRUE(G.hasEdge(4, First));
-  EXPECT_TRUE(G.hasEdge(3, 4));
-  EXPECT_FALSE(G.hasEdge(1, 3));
+  expectHasEdgeMatches(G, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0},
+                           {0, First}, {First, 4}});
 }

@@ -47,16 +47,6 @@ SpillResult referenceSpillToGreedyK(const Graph &G, unsigned K,
   }
 }
 
-/// \p G with the same edges in sparse (sorted-row) representation.
-Graph sparseCopy(const Graph &G) {
-  GraphBuilder Sparse(G.numVertices(), /*DenseThreshold=*/0);
-  for (unsigned U = 0; U < G.numVertices(); ++U)
-    for (unsigned V : G.neighbors(U))
-      if (U < V)
-        Sparse.addEdge(U, V);
-  return std::move(Sparse).build();
-}
-
 /// A random graph greedy-K-colorable by construction: each vertex joins at
 /// most K - 1 earlier ones, so peeling in reverse id order never sticks.
 Graph degenerateGraph(unsigned N, unsigned K, Rng &Rand) {
@@ -146,8 +136,7 @@ TEST(SpillingTest, TwoPhaseFlow) {
 
 TEST(SpillingTest, OnePeelMatchesRebuildReference) {
   // Graph shapes: random densities, cliques, the empty graph, random
-  // chordal graphs, and graphs greedy-K-colorable from the start; every
-  // fourth trial adds the random graph in sparse representation.
+  // chordal graphs, and graphs greedy-K-colorable from the start.
   Rng Rand(204);
   unsigned Graphs = 0, WithSpills = 0;
   for (int Trial = 0; Trial < 30; ++Trial) {
@@ -159,8 +148,6 @@ TEST(SpillingTest, OnePeelMatchesRebuildReference) {
       Shapes.push_back(GraphBuilder(static_cast<unsigned>(Trial)).build());
       Shapes.push_back(randomChordalGraph(N, 1 + N / 2, 1 + K, Rand));
       Shapes.push_back(degenerateGraph(N, K, Rand));
-      if (Trial % 4 == 0)
-        Shapes.push_back(sparseCopy(Shapes.front()));
       for (const Graph &G : Shapes) {
         unsigned NV = G.numVertices();
         // Cost models: uniform; random; and built to tie (cost equal to

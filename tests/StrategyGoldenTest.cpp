@@ -26,6 +26,7 @@
 
 #include "challenge/ChallengeInstance.h"
 #include "challenge/StrategyRegistry.h"
+#include "coalescing/WorkGraph.h"
 #include "runner/BatchRunner.h"
 #include "runner/GapReport.h"
 #include "runner/SweepManifest.h"
@@ -167,7 +168,7 @@ TEST(StrategyGoldenTest, SparseSweepJsonlMatchesRecording) {
   std::vector<LabeledProblem> Problems;
   ASSERT_TRUE(materializeSweep(Manifest, Problems, &Error)) << Error;
   for (const LabeledProblem &LP : Problems)
-    ASSERT_GT(LP.Problem.G.numVertices(), Graph::DefaultDenseThreshold)
+    ASSERT_FALSE(WorkGraph(LP.Problem.G).usesDenseAdjacency())
         << LP.Label << " would run on the dense engine";
 
   BatchOptions Options;

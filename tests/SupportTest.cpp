@@ -1,6 +1,5 @@
 //===- tests/SupportTest.cpp - support/ unit tests -------------------------===//
 
-#include "support/BitMatrix.h"
 #include "support/BitSet.h"
 #include "support/Random.h"
 #include "support/UnionFind.h"
@@ -65,66 +64,6 @@ TEST(UnionFindTest, ResetRestoresSingletons) {
   UF.reset(4);
   EXPECT_EQ(UF.numClasses(), 4u);
   EXPECT_FALSE(UF.connected(0, 1));
-}
-
-// --- BitMatrix -----------------------------------------------------------
-
-TEST(BitMatrixTest, StartsEmpty) {
-  BitMatrix M(4);
-  for (unsigned I = 0; I < 4; ++I)
-    for (unsigned J = 0; J < 4; ++J)
-      EXPECT_FALSE(M.test(I, J));
-  EXPECT_EQ(M.count(), 0u);
-}
-
-TEST(BitMatrixTest, SetIsSymmetric) {
-  BitMatrix M(5);
-  M.set(1, 3);
-  EXPECT_TRUE(M.test(1, 3));
-  EXPECT_TRUE(M.test(3, 1));
-  EXPECT_FALSE(M.test(1, 2));
-  EXPECT_EQ(M.count(), 1u);
-}
-
-TEST(BitMatrixTest, DiagonalIsAlwaysFalse) {
-  BitMatrix M(3);
-  M.set(0, 1);
-  EXPECT_FALSE(M.test(1, 1));
-  EXPECT_FALSE(M.test(0, 0));
-}
-
-TEST(BitMatrixTest, ClearRemovesBit) {
-  BitMatrix M(4);
-  M.set(0, 2);
-  M.clear(2, 0);
-  EXPECT_FALSE(M.test(0, 2));
-  EXPECT_EQ(M.count(), 0u);
-}
-
-TEST(BitMatrixTest, GrowPreservesBits) {
-  BitMatrix M(3);
-  M.set(0, 1);
-  M.set(1, 2);
-  M.grow(10);
-  EXPECT_TRUE(M.test(0, 1));
-  EXPECT_TRUE(M.test(1, 2));
-  EXPECT_FALSE(M.test(0, 9));
-  M.set(8, 9);
-  EXPECT_TRUE(M.test(9, 8));
-  EXPECT_EQ(M.count(), 3u);
-}
-
-TEST(BitMatrixTest, DensePairsAllDistinct) {
-  // Every unordered pair maps to a distinct triangular index.
-  const unsigned N = 20;
-  BitMatrix M(N);
-  unsigned Expected = 0;
-  for (unsigned I = 0; I < N; ++I)
-    for (unsigned J = I + 1; J < N; ++J) {
-      M.set(I, J);
-      ++Expected;
-      EXPECT_EQ(M.count(), Expected);
-    }
 }
 
 // --- BitSet ---------------------------------------------------------------
