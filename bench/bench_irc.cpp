@@ -28,7 +28,9 @@ static void BM_IrcThroughput(benchmark::State &State) {
   State.counters["coalesced"] = Coalesced;
   State.counters["spilled"] = Spilled; // 0 expected: k = omega, chordal.
 }
-BENCHMARK(BM_IrcThroughput)->Range(64, 4096);
+// 8192 is past WorkGraph::DefaultDenseThreshold, so that row times IRC on
+// the sparse engine.
+BENCHMARK(BM_IrcThroughput)->Range(64, 8192);
 
 static void BM_IrcGeorgeAblation(benchmark::State &State) {
   // Ablation (DESIGN.md): Briggs-only vs Briggs+George inside IRC.

@@ -3,15 +3,41 @@
 // Faithful port of the George–Appel worklist pseudocode ("Iterated Register
 // Coalescing", TOPLAS 1996; Appel, "Modern Compiler Implementation").
 //
-// Merges go through the shared WorkGraph engine, which also answers Appel's
-// adjSet membership test. That substitution is exact because IRC only ever
-// asks whether two live nodes (neither Coalesced nor OnStack) interfere,
-// and for live nodes adjSet is class interference. Appel's combine(u, v)
-// adds an edge from u to every live neighbor of v, so every edge between
-// two live nodes' classes reaches their representatives, and edges to
-// nodes already OnStack are never needed again. AdjList and Degree stay
-// IRC's own: AdjList's insertion order drives the simplify order, and
-// Appel's degree leaves out simplified neighbors.
+// Merges go through the shared WorkGraph engine, which holds the classes
+// and the solution and answers one question: whether a move's two
+// endpoints interfere (the constrained check). Every other adjacency
+// question IRC asks reads its own lists. AdjList and Degree are IRC's own:
+// AdjList's insertion order drives the simplify order, and Appel's degree
+// leaves out simplified neighbors.
+//
+// The live-list invariant. Call a node live when it is neither Coalesced
+// nor OnStack. For live T and U, T is a live entry of AdjList[U] exactly
+// when adjSet(T, U) holds, and adjSet is class interference. The lists
+// start as the graph's rows. Appel's combine(u, v) adds an edge from u to
+// every live neighbor of v, deduplicated against the lists themselves, so
+// every edge between two live nodes' classes reaches their representatives
+// and no live pair is listed twice. Edges to nodes already OnStack are
+// never needed again. So three tests read stamps instead of probing:
+//  - Briggs stamps V's significant live neighbors. A stamped entry of U's
+//    list is a common neighbor and loses one edge in the merge; V's second
+//    walk counts only the stamped entries U's walk did not see, which are
+//    V's own significant neighbors.
+//  - George stamps U's live list; a significant neighbor of V must carry
+//    the stamp.
+//  - combine stamps U's live list; a live neighbor of V already stamped is
+//    already adjacent to U and gets no second entry.
+//
+// Compaction. Appel's lists never shrink, so each walk drops the dead
+// entries it passes and keeps the live ones in order; the simplify order
+// stays the same. A list is walked only while its owner X is live or at
+// the moment X dies (its own simplify or combine), and the colors
+// assignColors reads from X's list stay the same:
+//  - an entry that went OnStack while X was live is popped after X, so it
+//    has no color yet when X picks one;
+//  - an entry W coalesced into A while X was live had A added to X's list
+//    by combine (or A was there already), and A, or the class A later
+//    joins, keeps standing for W's class there, so X still sees that
+//    class's color.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +47,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
 using namespace rc;
 
@@ -58,15 +85,53 @@ private:
     return State[N0] != NodeState::OnStack &&
            State[N0] != NodeState::Coalesced;
   }
-  /// Appel's adjSet test, answered by the engine (see the file comment).
+  /// Appel's adjSet test, answered by the engine (see the file comment);
+  /// only the move's constrained check asks it.
   bool inAdjSet(unsigned U, unsigned V) const {
     assert(isLive(U) && isLive(V) && "adjSet is only queried for live nodes");
     return WG.classesAdjacent(WG.classOf(U), WG.classOf(V));
   }
-  template <typename Fn> void forEachAdjacent(unsigned N0, Fn &&F) const {
-    for (unsigned W : AdjList[N0])
-      if (isLive(W))
+  /// Calls F on each live entry of N0's list, in order, and drops the dead
+  /// entries it passes (see the file comment). When F returns bool, false
+  /// stops the walk and the unvisited tail stays as it is; the return value
+  /// says whether the walk reached the end. F must not add to N0's list.
+  template <typename Fn> bool forEachAdjacent(unsigned N0, Fn &&F) {
+    std::vector<unsigned> &L = AdjList[N0];
+    const size_t Size = L.size();
+    size_t Kept = 0, Next = 0;
+    bool Completed = true;
+    while (Next < Size) {
+      unsigned W = L[Next++];
+      if (!isLive(W))
+        continue;
+      L[Kept++] = W;
+      if constexpr (std::is_same_v<std::invoke_result_t<Fn &, unsigned>,
+                                   bool>) {
+        if (!F(W)) {
+          Completed = false;
+          break;
+        }
+      } else {
         F(W);
+      }
+    }
+    assert(L.size() == Size && "a walk added to the list it walks");
+    L.erase(L.begin() + Kept, L.begin() + Next);
+    return Completed;
+  }
+  /// Returns a stamp no node carries yet.
+  unsigned freshStamp() {
+    if (++CurrentStamp == 0) {
+      std::fill(NeighborStamp.begin(), NeighborStamp.end(), 0u);
+      CurrentStamp = 1;
+    }
+    return CurrentStamp;
+  }
+  /// Stamps N0's live neighbors with a fresh stamp and returns it.
+  unsigned stampAdjacent(unsigned N0) {
+    unsigned S = freshStamp();
+    forEachAdjacent(N0, [&](unsigned T) { NeighborStamp[T] = S; });
+    return S;
   }
   bool moveRelated(unsigned N0) const {
     for (unsigned M : MoveList[N0])
@@ -85,13 +150,11 @@ private:
   void assignColors();
 
   // --- Helpers -----------------------------------------------------------
-  void addEdge(unsigned U, unsigned V);
   void decrementDegree(unsigned M);
   void enableMoves(unsigned N0);
   void addWorkList(unsigned U);
-  bool ok(unsigned T, unsigned R) const; // George single-neighbor test.
-  bool georgeOk(unsigned U, unsigned V) const;
-  bool briggsOk(unsigned U, unsigned V) const;
+  bool georgeOk(unsigned U, unsigned V);
+  bool briggsOk(unsigned U, unsigned V);
   void combine(unsigned U, unsigned V);
   void freezeMoves(unsigned U);
   void removeFromWorklist(unsigned N0);
@@ -117,9 +180,10 @@ private:
   std::vector<std::vector<unsigned>> MoveList; // Move indices per node.
   std::vector<MoveState> MState;
 
-  /// Scratch for briggsOk: per-node visit stamps reused across tests.
-  mutable std::vector<unsigned> NeighborStamp;
-  mutable unsigned CurrentStamp = 0;
+  /// Per-node stamps for the Briggs, George and combine list readings,
+  /// reused across tests (see freshStamp).
+  std::vector<unsigned> NeighborStamp;
+  unsigned CurrentStamp = 0;
 
   std::vector<unsigned> SimplifyWorklist, FreezeWorklist, SpillWorklist;
   std::vector<unsigned> WorklistMoves, ActiveMoves;
@@ -138,14 +202,11 @@ void Irc::build() {
   NeighborStamp.assign(N, 0);
   CurrentStamp = 0;
 
-  for (unsigned U = 0; U < N; ++U)
-    for (unsigned V : P.G.neighbors(U))
-      if (V > U) {
-        AdjList[U].push_back(V);
-        AdjList[V].push_back(U);
-        ++Degree[U];
-        ++Degree[V];
-      }
+  for (unsigned U = 0; U < N; ++U) {
+    VertexSpan Row = P.G.neighbors(U);
+    AdjList[U].assign(Row.begin(), Row.end());
+    Degree[U] = static_cast<unsigned>(Row.size());
+  }
 
   // Moves in decreasing weight order so Coalesce prefers expensive moves.
   std::vector<unsigned> Order(P.Affinities.size());
@@ -161,15 +222,6 @@ void Irc::build() {
     MState[M] = MoveState::Worklist;
     WorklistMoves.push_back(M);
   }
-}
-
-void Irc::addEdge(unsigned U, unsigned V) {
-  if (U == V || inAdjSet(U, V))
-    return;
-  AdjList[U].push_back(V);
-  AdjList[V].push_back(U);
-  ++Degree[U];
-  ++Degree[V];
 }
 
 void Irc::makeWorklist() {
@@ -254,48 +306,52 @@ void Irc::addWorkList(unsigned U) {
   }
 }
 
-bool Irc::ok(unsigned T, unsigned R) const {
-  return Degree[T] < K || inAdjSet(T, R);
-}
-
-bool Irc::georgeOk(unsigned U, unsigned V) const {
+bool Irc::georgeOk(unsigned U, unsigned V) {
   count(EngineEvent::GeorgeTestRun);
-  // Every significant neighbor of V must be a neighbor of U.
-  bool AllOk = true;
-  forEachAdjacent(V, [&](unsigned T) { AllOk = AllOk && ok(T, U); });
+  // Every significant neighbor of V must be a neighbor of U, that is, a
+  // live entry of U's list.
+  unsigned InU = stampAdjacent(U);
+  bool AllOk = forEachAdjacent(V, [&](unsigned T) {
+    return Degree[T] < K || NeighborStamp[T] == InU;
+  });
   if (AllOk)
     count(EngineEvent::GeorgeTestPassed);
   return AllOk;
 }
 
-bool Irc::briggsOk(unsigned U, unsigned V) const {
+bool Irc::briggsOk(unsigned U, unsigned V) {
   count(EngineEvent::BriggsTestRun);
-  // Conservative (Briggs): merged node has < K significant neighbors.
-  // Epoch-stamped dedup over the two adjacency lists instead of a std::set
-  // per test; the count is order-independent, so the outcome is identical,
-  // and once it reaches K the test has failed no matter what remains.
-  if (++CurrentStamp == 0) {
-    std::fill(NeighborStamp.begin(), NeighborStamp.end(), 0u);
-    CurrentStamp = 1;
-  }
+  // Conservative (Briggs): merged node has < K significant neighbors. A
+  // common neighbor loses one edge in the merge; one that is not
+  // significant stays so, and is not stamped. Once the count reaches K the
+  // test has failed no matter what remains.
+  unsigned InV = freshStamp();
+  unsigned Seen = freshStamp();
+  forEachAdjacent(V, [&](unsigned T) {
+    if (Degree[T] >= K)
+      NeighborStamp[T] = InV;
+  });
   unsigned Significant = 0;
-  auto Visit = [&](unsigned T) {
-    if (Significant >= K || NeighborStamp[T] == CurrentStamp)
-      return;
-    NeighborStamp[T] = CurrentStamp;
+  auto CountU = [&](unsigned T) {
     unsigned D = Degree[T];
-    // A common neighbor loses one edge in the merge; when D < K the
-    // decrement cannot change the outcome, so skip the set probes.
-    if (D >= K && inAdjSet(T, U) && inAdjSet(T, V))
+    if (NeighborStamp[T] == InV) {
+      NeighborStamp[T] = Seen;
       --D;
+    }
     if (D >= K)
       ++Significant;
+    return Significant < K;
   };
-  forEachAdjacent(U, Visit);
-  forEachAdjacent(V, Visit);
-  if (Significant < K)
+  // What still carries InV after U's walk is V's own significant neighbor.
+  auto CountVOnly = [&](unsigned T) {
+    if (NeighborStamp[T] == InV)
+      ++Significant;
+    return Significant < K;
+  };
+  bool Passed = forEachAdjacent(U, CountU) && forEachAdjacent(V, CountVOnly);
+  if (Passed)
     count(EngineEvent::BriggsTestPassed);
-  return Significant < K;
+  return Passed;
 }
 
 void Irc::coalesce() {
@@ -335,11 +391,18 @@ void Irc::combine(unsigned U, unsigned V) {
   MoveList[U].insert(MoveList[U].end(), MoveList[V].begin(),
                      MoveList[V].end());
   enableMoves(V);
-  forEachAdjacent(V, [this, U](unsigned T) {
-    addEdge(T, U);
+  // Appel's addEdge(T, U), deduplicated against U's live list.
+  unsigned InU = stampAdjacent(U);
+  forEachAdjacent(V, [&](unsigned T) {
+    assert(T != U && "a move between interfering nodes was coalesced");
+    if (NeighborStamp[T] != InU) {
+      AdjList[T].push_back(U);
+      AdjList[U].push_back(T);
+      ++Degree[T];
+      ++Degree[U];
+    }
     decrementDegree(T);
   });
-  // After the loop, so addEdge's dedupe sees the classes before the merge.
   WG.merge(U, V);
   if (Degree[U] >= K && State[U] == NodeState::FreezeWL) {
     removeFromWorklist(U);
@@ -408,18 +471,19 @@ void Irc::selectSpill() {
 
 void Irc::assignColors() {
   std::vector<int> Color(N, -1);
+  // UsedBy[C] == V marks color C taken around V; no clearing per node.
+  std::vector<unsigned> UsedBy(K, ~0u);
   while (!SelectStack.empty()) {
     unsigned V = SelectStack.back();
     SelectStack.pop_back();
-    std::vector<bool> Used(K, false);
     for (unsigned W : AdjList[V]) {
       unsigned A = getAlias(W);
       if ((State[A] == NodeState::Colored) && Color[A] >= 0)
-        Used[static_cast<unsigned>(Color[A])] = true;
+        UsedBy[static_cast<unsigned>(Color[A])] = V;
     }
     int Free = -1;
     for (unsigned C = 0; C < K; ++C)
-      if (!Used[C]) {
+      if (UsedBy[C] != V) {
         Free = static_cast<int>(C);
         break;
       }
@@ -457,7 +521,7 @@ IrcResult Irc::run() {
   assignColors();
 
   IrcResult Result;
-  Result.Colors = Colors;
+  Result.Colors = std::move(Colors);
   // A coalesced class containing a spilled root stays merged for
   // reporting purposes.
   Result.Solution = WG.solution();
