@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "coalescing/ChordalStrategy.h"
 #include "coalescing/Conservative.h"
 #include "coalescing/ExactSearch.h"
 #include "graph/ExactColoring.h"
@@ -56,6 +57,31 @@ BENCHMARK(BM_ConservativeRule<ConservativeRule::BriggsOrGeorge>)
 BENCHMARK(BM_ConservativeRule<ConservativeRule::BruteForce>)
     ->Range(64, 2048)
     ->Arg(8192);
+
+// The Theorem 5 driver on perfbench sweep-dense's n = 256 shape (subtree,
+// pressure slack 2, affinity fraction 0.5): one clique tree per committed
+// quotient, so the row follows the per-commit PEO and tree work.
+template <ChordalChain Chain>
+static void BM_ChordalCoalesce(benchmark::State &State) {
+  CoalescingProblem P = bench::makeChallengeProblem(
+      static_cast<unsigned>(State.range(0)), 41, 2, 0.5);
+  unsigned Coalesced = 0, ChainMerges = 0;
+  for (auto _ : State) {
+    ChordalStrategyResult R = chordalCoalesce(P, Chain);
+    Coalesced = R.Stats.CoalescedAffinities;
+    ChainMerges = R.ChainMerges;
+    benchmark::DoNotOptimize(Coalesced);
+  }
+  State.counters["coalesced"] = Coalesced;
+  State.counters["chain_merges"] = ChainMerges;
+  State.counters["affinities"] = static_cast<double>(P.Affinities.size());
+}
+BENCHMARK(BM_ChordalCoalesce<ChordalChain::Any>)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ChordalCoalesce<ChordalChain::FewestMerges>)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 static void BM_Theorem3ExactSearch(benchmark::State &State) {
   // Exponential: optimal conservative coalescing on the k-colorability

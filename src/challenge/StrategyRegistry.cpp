@@ -197,7 +197,8 @@ StrategyRegistry::StrategyRegistry() {
   auto chordal = [](ChordalChain Chain) {
     return [Chain](const CoalescingProblem &P, const StrategyOptions &,
                    StrategyContext &Ctx) {
-      if (isChordal(P.G) && P.K >= chordalCliqueNumber(P.G)) {
+      std::vector<unsigned> Peo;
+      if (isChordal(P.G, &Peo) && P.K >= chordalCliqueNumber(P.G, Peo)) {
         ChordalStrategyResult R =
             chordalCoalesce(P, Chain, &Ctx.Telemetry, Ctx.Cancel);
         Ctx.TimedOut = R.TimedOut;

@@ -9,23 +9,33 @@
 
 using namespace rc;
 
-Coloring rc::chordalChainWitness(
-    const Graph &G, const std::vector<unsigned> &Chain,
-    const std::vector<const std::vector<unsigned> *> &SlackCliques,
-    unsigned K) {
+namespace {
+
+/// Completes the chain of \p D to a witness coloring of \p G, on an
+/// augmented graph: one artificial vertex per slack clique of \p T the
+/// chain threads through, adjacent to exactly that clique. Merging only the
+/// real vertices can leave their subtree union disconnected, but each
+/// artificial vertex is simplicial, so the augmented graph stays chordal,
+/// and its clique has fewer than \p K vertices, so the clique number stays
+/// within K. The augmented chain tiles the path, its quotient is chordal
+/// with clique number at most K, and its optimal coloring restricted to G
+/// is the witness.
+Coloring chainWitness(const Graph &G, const CliqueTree &T,
+                      const ChordalChainDecision &D, unsigned K) {
   unsigned N = G.numVertices();
-  unsigned NAug = N + static_cast<unsigned>(SlackCliques.size());
+  unsigned NumSlack = static_cast<unsigned>(D.SlackNodes.size());
+  unsigned NAug = N + NumSlack;
   GraphBuilder AugBuilder(G);
-  AugBuilder.addVertices(static_cast<unsigned>(SlackCliques.size()));
-  for (unsigned S = 0; S < SlackCliques.size(); ++S)
-    for (unsigned W : *SlackCliques[S])
+  AugBuilder.addVertices(NumSlack);
+  for (unsigned S = 0; S < NumSlack; ++S)
+    for (unsigned W : T.clique(D.SlackNodes[S]))
       AugBuilder.addEdge(N + S, W);
   Graph Aug = std::move(AugBuilder).build();
 
   std::vector<bool> InChain(NAug, false);
-  for (unsigned V : Chain)
+  for (unsigned V : D.MergedChain)
     InChain[V] = true;
-  for (unsigned S = 0; S < SlackCliques.size(); ++S)
+  for (unsigned S = 0; S < NumSlack; ++S)
     InChain[N + S] = true;
   std::vector<unsigned> ClassIds(NAug);
   unsigned NextId = 1;
@@ -43,30 +53,65 @@ Coloring rc::chordalChainWitness(
   return Witness;
 }
 
+using TreeDecision = ChordalChainDecision (*)(const Graph &,
+                                              const CliqueTree &, unsigned,
+                                              unsigned, unsigned);
+
+/// The one-shot form of the tree decision \p Decide: one perfect
+/// elimination order of \p G gives both omega and the clique tree, and the
+/// chain is completed to a witness while that tree is alive.
+ChordalIncrementalResult decideOnce(const Graph &G, unsigned X, unsigned Y,
+                                    unsigned K, TreeDecision Decide) {
+  // Interfering endpoints never share a color, and below omega G is not
+  // even k-colorable.
+  if (G.hasEdge(X, Y))
+    return {};
+  std::vector<unsigned> Peo;
+  [[maybe_unused]] bool Chordal = isChordal(G, &Peo);
+  assert(Chordal && "incremental coalescing requires a chordal graph");
+  if (K < chordalCliqueNumber(G, Peo))
+    return {};
+  CliqueTree T = CliqueTree::build(G, Peo);
+  ChordalChainDecision D = Decide(G, T, X, Y, K);
+  ChordalIncrementalResult Result;
+  if (!D.Feasible)
+    return Result;
+  Result.Feasible = true;
+  Result.GapFree = D.gapFree();
+  Result.Witness = chainWitness(G, T, D, K);
+  Result.MergedChain = std::move(D.MergedChain);
+  assert(isValidColoring(G, Result.Witness, static_cast<int>(K)) &&
+         Result.Witness[X] == Result.Witness[Y] && "chain witness is invalid");
+  return Result;
+}
+
+} // namespace
+
 ChordalIncrementalResult
 rc::chordalIncrementalCoalescing(const Graph &G, unsigned X, unsigned Y,
                                  unsigned K) {
-  // Interfering endpoints never share a color, and below omega G is not
-  // even k-colorable. chordalCliqueNumber asserts chordality.
-  if (G.hasEdge(X, Y) || K < chordalCliqueNumber(G))
-    return {};
-  return chordalIncrementalCoalescing(G, CliqueTree::build(G), X, Y, K);
+  return decideOnce(G, X, Y, K, chordalIncrementalCoalescing);
 }
 
-ChordalIncrementalResult
+ChordalIncrementalResult rc::chordalIncrementalDP(const Graph &G, unsigned X,
+                                                  unsigned Y, unsigned K) {
+  return decideOnce(G, X, Y, K, chordalIncrementalDP);
+}
+
+ChordalChainDecision
 rc::chordalIncrementalCoalescing(const Graph &G, const CliqueTree &T,
                                  unsigned X, unsigned Y, unsigned K) {
   assert(X < G.numVertices() && Y < G.numVertices() && X != Y &&
          "bad affinity endpoints");
-  ChordalIncrementalResult Result;
+  ChordalChainDecision Result;
   if (G.hasEdge(X, Y))
     return Result; // Interfering endpoints can never share a color.
 
   // When K > Omega every clique-path position has a free color slot, so the
   // interval chain below always exists (slack at every node) and the answer
-  // is always yes; the general algorithm handles both cases uniformly and
-  // its chain witness keeps the quotient chordal with unchanged omega,
-  // which chordalCoalesce relies on.
+  // is always yes; the general algorithm handles both cases uniformly, and
+  // merging its chain keeps the quotient chordal with omega at most K,
+  // which chordalCoalesce relies on (and asserts per commit).
   std::vector<unsigned> Path =
       T.pathBetweenSubtrees(T.nodesContaining(X), T.nodesContaining(Y));
   // CliqueTree::build joins the components of a disconnected G into one
@@ -150,21 +195,13 @@ rc::chordalIncrementalCoalescing(const Graph &G, const CliqueTree &T,
 
   // Collect the chain's real vertices, noting every slack interval it
   // threads through (the chain is then NOT a tiling of real subtrees).
-  std::vector<unsigned> Chain;
-  std::vector<const std::vector<unsigned> *> SlackCliques;
   for (int Cur = static_cast<int>(YInterval); Cur >= 0; Cur = Parent[Cur]) {
     if (Intervals[Cur].Vertex != ~0u)
-      Chain.push_back(Intervals[Cur].Vertex);
+      Result.MergedChain.push_back(Intervals[Cur].Vertex);
     else
-      SlackCliques.push_back(&T.clique(Path[Intervals[Cur].Lo]));
+      Result.SlackNodes.push_back(Path[Intervals[Cur].Lo]);
   }
-  std::reverse(Chain.begin(), Chain.end());
-
+  std::reverse(Result.MergedChain.begin(), Result.MergedChain.end());
   Result.Feasible = true;
-  Result.GapFree = SlackCliques.empty();
-  Result.Witness = chordalChainWitness(G, Chain, SlackCliques, K);
-  Result.MergedChain = std::move(Chain);
-  assert(isValidColoring(G, Result.Witness, static_cast<int>(K)) &&
-         Result.Witness[X] == Result.Witness[Y] && "chain witness is invalid");
   return Result;
 }

@@ -27,10 +27,20 @@
 /// Each builds its own intervals and searches its own chain, so a bug in
 /// one search cannot hide in both: the fuzz property `exact-gap-sound` and
 /// tests/ExactBaselineTest.cpp diff the two per affinity, plus the
-/// equality-constrained exact coloring oracle. Only the witness assembly,
-/// chordalChainWitness, is shared. Sharing it hides no decision bug: each
-/// decision still asserts that the witness it returns is a valid k-coloring
-/// giving X and Y the same color.
+/// equality-constrained exact coloring oracle.
+///
+/// Each procedure has two forms. The form on a prebuilt clique tree returns
+/// the decision and the chain only; chordalCoalesce, which calls it once per
+/// affinity, checks the chain's soundness on the quotient it commits. The
+/// one-shot form (G, X, Y, K), which tests and the fuzz oracles call, builds
+/// the tree from one perfect elimination order of G, runs the tree form,
+/// and completes the chain to a witness coloring while the tree is alive:
+/// one artificial vertex per slack clique the chain threads through,
+/// adjacent to exactly that clique, turns the chain into a tiling; the
+/// merged augmented graph is chordal with clique number at most K, and its
+/// optimal coloring restricted to G is the witness. Sharing that completion
+/// hides no decision bug: the one-shot form asserts that the witness is a
+/// valid K-coloring giving X and Y the same color.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,15 +54,31 @@ namespace rc {
 
 class CliqueTree;
 
-/// Result of a chordal incremental coalescing decision.
+/// A decision on a prebuilt clique tree: the answer and the chain, without
+/// a witness coloring.
+struct ChordalChainDecision {
+  /// True iff a k-coloring with f(X) = f(Y) exists.
+  bool Feasible = false;
+  /// The vertices merged with X and Y to realize the coloring (the chain of
+  /// real intervals selected on the path), from X to Y; empty when
+  /// infeasible.
+  std::vector<unsigned> MergedChain;
+  /// The clique-tree nodes of the slack intervals the chain threads
+  /// through, from Y back to X.
+  std::vector<unsigned> SlackNodes;
+
+  /// True when the chain tiles the whole path with real vertices (see
+  /// ChordalIncrementalResult::GapFree).
+  bool gapFree() const { return Feasible && SlackNodes.empty(); }
+};
+
+/// Result of a one-shot chordal incremental coalescing decision.
 struct ChordalIncrementalResult {
   /// True iff a k-coloring with f(X) = f(Y) exists.
   bool Feasible = false;
   /// A witness k-coloring with Witness[X] == Witness[Y] when Feasible.
   Coloring Witness;
-  /// The vertices merged with X and Y to realize the coloring (the chain of
-  /// real intervals selected on the path), from X to Y; empty when
-  /// infeasible.
+  /// The chain, as in ChordalChainDecision::MergedChain.
   std::vector<unsigned> MergedChain;
   /// True when the chain tiles the whole path with real vertices (no slack
   /// interval used). A gapped chain still witnesses feasibility (the color
@@ -72,10 +98,10 @@ ChordalIncrementalResult chordalIncrementalCoalescing(const Graph &G,
 
 /// As above, on a prebuilt clique tree \p T of \p G. Requires
 /// K >= omega(G); the caller checks it.
-ChordalIncrementalResult chordalIncrementalCoalescing(const Graph &G,
-                                                      const CliqueTree &T,
-                                                      unsigned X, unsigned Y,
-                                                      unsigned K);
+ChordalChainDecision chordalIncrementalCoalescing(const Graph &G,
+                                                  const CliqueTree &T,
+                                                  unsigned X, unsigned Y,
+                                                  unsigned K);
 
 /// Decides the same question by the clique-tree DP, returning a chain with
 /// the fewest slack intervals and, among those, the fewest real merges.
@@ -85,25 +111,8 @@ ChordalIncrementalResult chordalIncrementalDP(const Graph &G, unsigned X,
 
 /// As above, on a prebuilt clique tree \p T of \p G. Requires
 /// K >= omega(G); the caller checks it.
-ChordalIncrementalResult chordalIncrementalDP(const Graph &G,
-                                              const CliqueTree &T, unsigned X,
-                                              unsigned Y, unsigned K);
-
-/// Builds the witness coloring of G for an interval chain: \p Chain holds
-/// its real vertices, \p SlackCliques the cliques of the slack intervals it
-/// threads through. Merging only the real vertices can leave their subtree
-/// union disconnected (the quotient need not be chordal), so the chain is
-/// completed on an augmented graph first: one artificial vertex per slack
-/// clique, adjacent to exactly that clique. Each is simplicial, so the
-/// augmented graph stays chordal, and its clique has fewer than \p K
-/// vertices, so the clique number stays within K. The augmented chain tiles
-/// the path, its quotient is chordal with clique number at most K, and its
-/// optimal coloring restricted to G is the witness.
-Coloring
-chordalChainWitness(const Graph &G, const std::vector<unsigned> &Chain,
-                    const std::vector<const std::vector<unsigned> *>
-                        &SlackCliques,
-                    unsigned K);
+ChordalChainDecision chordalIncrementalDP(const Graph &G, const CliqueTree &T,
+                                          unsigned X, unsigned Y, unsigned K);
 
 } // namespace rc
 

@@ -21,8 +21,12 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
     if (Telemetry)
       Telemetry->count(E);
   };
-  assert(isChordal(P.G) && "chordal strategy requires a chordal graph");
-  assert(P.K >= chordalCliqueNumber(P.G) &&
+  // One perfect elimination order per graph the driver decides on: it
+  // serves the asserts and that graph's clique tree.
+  std::vector<unsigned> Peo = mcsEliminationOrder(P.G);
+  assert(isPerfectEliminationOrder(P.G, Peo) &&
+         "chordal strategy requires a chordal graph");
+  assert(P.K >= chordalCliqueNumber(P.G, Peo) &&
          "chordal strategy requires k >= omega");
 
   unsigned N = P.G.numVertices();
@@ -31,8 +35,9 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
   WorkGraph Classes(P.G);
 
   // Current quotient graph, whose vertices are the dense class ids in
-  // DenseIds; its clique tree, built on first use after each commit so
-  // rejected affinities share it; and per class one original vertex.
+  // DenseIds; its clique tree, built from Peo on first use after each
+  // commit so rejected affinities share it; and per class one original
+  // vertex.
   Graph Current = P.G;
   std::vector<unsigned> DenseIds(N);
   std::iota(DenseIds.begin(), DenseIds.end(), 0u);
@@ -41,7 +46,7 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
 
   auto decide = [&](unsigned X, unsigned Y) {
     if (!Tree)
-      Tree = CliqueTree::build(Current);
+      Tree = CliqueTree::build(Current, Peo);
     return Chain == ChordalChain::Any
                ? chordalIncrementalCoalescing(Current, *Tree, X, Y, P.K)
                : chordalIncrementalDP(Current, *Tree, X, Y, P.K);
@@ -71,24 +76,34 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       ++Result.InfeasibleAffinities;
       continue;
     }
-    ChordalIncrementalResult Decision = decide(X, Y);
+    ChordalChainDecision Decision = decide(X, Y);
     if (!Decision.Feasible) {
       ++Result.InfeasibleAffinities;
       continue;
     }
     // Merge the whole chain (it includes X and Y). Its vertices are current
-    // classes sharing the witness's color, so no two interfere; merge one
+    // classes whose intervals are disjoint, so no two interfere; merge one
     // original vertex of each. The quotient stays chordal, gapped chain or
-    // not (the argument is on ChordalStrategyResult).
+    // not (the argument is on ChordalStrategyResult), and its clique number
+    // stays within K. Both are asserted on the quotient's one PEO; together
+    // they give a K-coloring with the whole chain in one color, which is
+    // what the one-shot decisions' witness coloring shows.
     const std::vector<unsigned> &Merged = Decision.MergedChain;
     assert(Merged.size() >= 2 && "chain must contain x and y");
     unsigned Root = ClassRep[Merged.front()];
     for (size_t I = 1; I < Merged.size(); ++I)
       Classes.merge(Root, ClassRep[Merged[I]]);
     CoalescingSolution Tentative = Classes.solution();
-    Graph Quotient = P.G.quotient(Tentative.ClassIds, Tentative.NumClasses);
-    assert(isChordal(Quotient) &&
+    // P.G's quotient by the new classes, built from Current's fewer edges.
+    std::vector<unsigned> NextIds(Current.numVertices());
+    for (unsigned C = 0; C < NextIds.size(); ++C)
+      NextIds[C] = Tentative.ClassIds[ClassRep[C]];
+    Graph Quotient = Current.quotient(NextIds, Tentative.NumClasses);
+    Peo = mcsEliminationOrder(Quotient);
+    assert(isPerfectEliminationOrder(Quotient, Peo) &&
            "chain merge broke chordality, contradicting Theorem 5");
+    assert(chordalCliqueNumber(Quotient, Peo) <= P.K &&
+           "chain merge raised the clique number above k");
     DenseIds = std::move(Tentative.ClassIds);
     Current = std::move(Quotient);
     Tree.reset();

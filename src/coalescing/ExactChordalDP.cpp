@@ -1,14 +1,14 @@
 //===- coalescing/ExactChordalDP.cpp - Thm 5 clique-tree DP ---------------===//
 //
-// The clique-tree DP decision of Theorem 5, declared in
+// The clique-tree DP decision of Theorem 5 on a prebuilt tree, declared in
 // coalescing/ChordalIncremental.h next to the BFS decision it is diffed
-// against.
+// against. Its one-shot form lives with the BFS one in
+// ChordalIncremental.cpp, which completes either chain to a witness.
 //
 //===----------------------------------------------------------------------===//
 
 #include "coalescing/ChordalIncremental.h"
 
-#include "graph/Chordal.h"
 #include "graph/CliqueTree.h"
 
 #include <algorithm>
@@ -17,22 +17,12 @@
 
 using namespace rc;
 
-ChordalIncrementalResult rc::chordalIncrementalDP(const Graph &G, unsigned X,
-                                                  unsigned Y, unsigned K) {
-  // Interfering endpoints never share a color, and below omega G is not
-  // even k-colorable. chordalCliqueNumber asserts chordality.
-  if (G.hasEdge(X, Y) || K < chordalCliqueNumber(G))
-    return {};
-  return chordalIncrementalDP(G, CliqueTree::build(G), X, Y, K);
-}
-
-ChordalIncrementalResult rc::chordalIncrementalDP(const Graph &G,
-                                                  const CliqueTree &T,
-                                                  unsigned X, unsigned Y,
-                                                  unsigned K) {
+ChordalChainDecision rc::chordalIncrementalDP(const Graph &G,
+                                              const CliqueTree &T, unsigned X,
+                                              unsigned Y, unsigned K) {
   assert(X < G.numVertices() && Y < G.numVertices() && X != Y &&
          "bad affinity endpoints");
-  ChordalIncrementalResult Result;
+  ChordalChainDecision Result;
   if (G.hasEdge(X, Y))
     return Result;
 
@@ -127,8 +117,8 @@ ChordalIncrementalResult rc::chordalIncrementalDP(const Graph &G,
   if (BestCost[Q - 2] == Inf)
     return Result;
 
-  std::vector<unsigned> Chain{Y};
-  std::vector<const std::vector<unsigned> *> SlackCliques;
+  std::vector<unsigned> &Chain = Result.MergedChain;
+  Chain.push_back(Y);
   [[maybe_unused]] unsigned RealMerges = 0; // Read only by the asserts.
   for (int P = static_cast<int>(Q) - 2; P >= 0;) {
     const Interval &I = Intervals[static_cast<unsigned>(BestEnd[P])];
@@ -137,7 +127,7 @@ ChordalIncrementalResult rc::chordalIncrementalDP(const Graph &G,
       if (I.Vertex != X && I.Vertex != Y)
         ++RealMerges;
     } else {
-      SlackCliques.push_back(&T.clique(Path[I.Lo]));
+      Result.SlackNodes.push_back(Path[I.Lo]);
     }
     P = static_cast<int>(I.Lo) - 1;
   }
@@ -145,14 +135,8 @@ ChordalIncrementalResult rc::chordalIncrementalDP(const Graph &G,
   assert(Chain.front() == X && Chain.back() == Y &&
          "DP chain must run from x to y");
   assert(RealMerges + 2 == Chain.size() && "chain cost mismatch");
-  assert(SlackCliques.size() == (BestCost[Q - 2] >> 32) &&
+  assert(Result.SlackNodes.size() == (BestCost[Q - 2] >> 32) &&
          "slack cost mismatch");
-
   Result.Feasible = true;
-  Result.GapFree = SlackCliques.empty();
-  Result.Witness = chordalChainWitness(G, Chain, SlackCliques, K);
-  Result.MergedChain = std::move(Chain);
-  assert(isValidColoring(G, Result.Witness, static_cast<int>(K)) &&
-         Result.Witness[X] == Result.Witness[Y] && "DP witness is invalid");
   return Result;
 }

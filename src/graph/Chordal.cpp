@@ -13,25 +13,33 @@ std::vector<unsigned> rc::mcsOrder(const Graph &G) {
   std::vector<unsigned> Order;
   Order.reserve(N);
 
-  // Bucket queue keyed by weight; weights only increase, so a cursor that
-  // moves down by at most one per selection keeps this O(V + E).
-  std::vector<std::vector<unsigned>> Buckets(N + 1);
+  // Bucket queue keyed by weight: each bucket is a stack of entries, all
+  // threaded through one pool (an entry goes stale when its vertex is
+  // selected or gains weight). Each edge pushes at most one entry. Weights
+  // only increase, so a cursor that moves down by at most one per
+  // selection keeps this O(V + E).
+  std::vector<unsigned> Top(N + 1, ~0u);
+  std::vector<unsigned> EntryVertex, EntryBelow;
+  EntryVertex.reserve(size_t(N) + G.numEdges());
+  EntryBelow.reserve(size_t(N) + G.numEdges());
+  auto push = [&](unsigned Bucket, unsigned V) {
+    EntryVertex.push_back(V);
+    EntryBelow.push_back(Top[Bucket]);
+    Top[Bucket] = static_cast<unsigned>(EntryVertex.size() - 1);
+  };
   for (unsigned V = 0; V < N; ++V)
-    Buckets[0].push_back(V);
+    push(0, V);
   unsigned Cursor = 0;
 
   for (unsigned Taken = 0; Taken < N; ++Taken) {
     unsigned V = ~0u;
     for (;;) {
-      auto &Bucket = Buckets[Cursor];
-      while (!Bucket.empty()) {
-        unsigned Candidate = Bucket.back();
-        if (Selected[Candidate] || Weight[Candidate] != Cursor) {
-          Bucket.pop_back(); // Stale entry.
-          continue;
-        }
+      while (Top[Cursor] != ~0u) {
+        unsigned Candidate = EntryVertex[Top[Cursor]];
+        Top[Cursor] = EntryBelow[Top[Cursor]];
+        if (Selected[Candidate] || Weight[Candidate] != Cursor)
+          continue; // Stale entry.
         V = Candidate;
-        Bucket.pop_back();
         break;
       }
       if (V != ~0u)
@@ -45,7 +53,7 @@ std::vector<unsigned> rc::mcsOrder(const Graph &G) {
       if (Selected[W])
         continue;
       ++Weight[W];
-      Buckets[Weight[W]].push_back(W);
+      push(Weight[W], W);
       Cursor = std::max(Cursor, Weight[W]);
     }
   }
@@ -66,38 +74,55 @@ bool rc::isPerfectEliminationOrder(const Graph &G,
 
   // Standard linear-time certification (Golumbic): for each vertex V, let P
   // be its earliest later-neighbor; then the remaining later-neighbors of V
-  // must all be neighbors of P. Batch the containment checks per P, each
-  // against one stamp of P's row.
-  std::vector<std::vector<unsigned>> MustBeAdjacentTo(N);
+  // must all be neighbors of P. Batch the containment checks per P, in one
+  // array bucketed by P, each batch against one stamp of P's row.
+  std::vector<unsigned> Parent(N, ~0u);
+  std::vector<unsigned> Start(N + 1, 0);
   for (unsigned V = 0; V < N; ++V) {
-    unsigned Parent = ~0u;
+    unsigned Here = Position[V], ParentAt = ~0u, Later = 0;
     for (unsigned W : G.neighbors(V))
-      if (Position[W] > Position[V] &&
-          (Parent == ~0u || Position[W] < Position[Parent]))
-        Parent = W;
-    if (Parent == ~0u)
+      if (Position[W] > Here) {
+        ++Later;
+        ParentAt = std::min(ParentAt, Position[W]);
+      }
+    if (Later == 0)
+      continue;
+    Parent[V] = Peo[ParentAt];
+    Start[Parent[V] + 1] += Later - 1;
+  }
+  for (unsigned P = 0; P < N; ++P)
+    Start[P + 1] += Start[P];
+  std::vector<unsigned> MustBeAdjacent(Start[N]);
+  std::vector<unsigned> Fill(Start.begin(), Start.end() - 1);
+  for (unsigned V = 0; V < N; ++V) {
+    if (Parent[V] == ~0u)
       continue;
     for (unsigned W : G.neighbors(V))
-      if (Position[W] > Position[V] && W != Parent)
-        MustBeAdjacentTo[Parent].push_back(W);
+      if (Position[W] > Position[V] && W != Parent[V])
+        MustBeAdjacent[Fill[Parent[V]]++] = W;
   }
   // Stamp[W] == P exactly when W is a neighbor of the P being checked.
   std::vector<unsigned> Stamp(N, ~0u);
   for (unsigned P = 0; P < N; ++P) {
-    if (MustBeAdjacentTo[P].empty())
+    if (Start[P] == Start[P + 1])
       continue;
     for (unsigned W : G.neighbors(P))
       Stamp[W] = P;
-    for (unsigned W : MustBeAdjacentTo[P])
-      if (Stamp[W] != P)
+    for (unsigned I = Start[P]; I < Start[P + 1]; ++I)
+      if (Stamp[MustBeAdjacent[I]] != P)
         return false;
   }
   return true;
 }
 
+std::vector<unsigned> rc::mcsEliminationOrder(const Graph &G) {
+  std::vector<unsigned> Order = mcsOrder(G);
+  std::reverse(Order.begin(), Order.end());
+  return Order;
+}
+
 bool rc::isChordal(const Graph &G, std::vector<unsigned> *PeoOut) {
-  std::vector<unsigned> Mcs = mcsOrder(G);
-  std::vector<unsigned> Peo(Mcs.rbegin(), Mcs.rend());
+  std::vector<unsigned> Peo = mcsEliminationOrder(G);
   if (!isPerfectEliminationOrder(G, Peo))
     return false;
   if (PeoOut)
@@ -105,31 +130,28 @@ bool rc::isChordal(const Graph &G, std::vector<unsigned> *PeoOut) {
   return true;
 }
 
-/// Shared helper: computes, for a PEO, each vertex's later-neighbor count.
-static std::vector<unsigned>
-laterNeighborCounts(const Graph &G, const std::vector<unsigned> &Peo) {
-  unsigned N = G.numVertices();
-  std::vector<unsigned> Position(N);
-  for (unsigned I = 0; I < N; ++I)
-    Position[Peo[I]] = I;
-  std::vector<unsigned> Count(N, 0);
-  for (unsigned V = 0; V < N; ++V)
-    for (unsigned W : G.neighbors(V))
-      if (Position[W] > Position[V])
-        ++Count[V];
-  return Count;
-}
-
 unsigned rc::chordalCliqueNumber(const Graph &G) {
   std::vector<unsigned> Peo;
   [[maybe_unused]] bool Chordal = isChordal(G, &Peo);
   assert(Chordal && "chordalCliqueNumber requires a chordal graph");
-  if (G.numVertices() == 0)
-    return 0;
-  std::vector<unsigned> Count = laterNeighborCounts(G, Peo);
+  return chordalCliqueNumber(G, Peo);
+}
+
+unsigned rc::chordalCliqueNumber(const Graph &G,
+                                 const std::vector<unsigned> &Peo) {
+  unsigned N = G.numVertices();
+  assert(Peo.size() == N && "PEO must order every vertex");
+  std::vector<unsigned> Position(N);
+  for (unsigned I = 0; I < N; ++I)
+    Position[Peo[I]] = I;
+  // Each vertex closes a clique with its later neighbors.
   unsigned Best = 0;
-  for (unsigned V = 0; V < G.numVertices(); ++V)
-    Best = std::max(Best, Count[V] + 1);
+  for (unsigned V = 0; V < N; ++V) {
+    unsigned Clique = 1;
+    for (unsigned W : G.neighbors(V))
+      Clique += Position[W] > Position[V];
+    Best = std::max(Best, Clique);
+  }
   return Best;
 }
 
@@ -148,6 +170,12 @@ rc::chordalMaximalCliques(const Graph &G) {
   std::vector<unsigned> Peo;
   [[maybe_unused]] bool Chordal = isChordal(G, &Peo);
   assert(Chordal && "chordalMaximalCliques requires a chordal graph");
+  return chordalMaximalCliques(G, Peo);
+}
+
+std::vector<std::vector<unsigned>>
+rc::chordalMaximalCliques(const Graph &G, const std::vector<unsigned> &Peo) {
+  assert(Peo.size() == G.numVertices() && "PEO must order every vertex");
   unsigned N = G.numVertices();
   std::vector<unsigned> Position(N);
   for (unsigned I = 0; I < N; ++I)
@@ -155,28 +183,40 @@ rc::chordalMaximalCliques(const Graph &G) {
 
   // Candidate cliques are C_v = {v} + later-neighbors(v). C_v is dominated
   // iff some u whose earliest later-neighbor is v satisfies
-  // |C_u| = |C_v| + 1, i.e. C_u = {u} + C_v.
-  std::vector<unsigned> Count = laterNeighborCounts(G, Peo);
-  std::vector<bool> Dominated(N, false);
-  for (unsigned U = 0; U < N; ++U) {
-    unsigned Parent = ~0u;
+  // |C_u| = |C_v| + 1, i.e. C_u = {u} + C_v. One pass finds every vertex's
+  // later-neighbor count and earliest later-neighbor.
+  std::vector<unsigned> Count(N, 0), Parent(N, ~0u);
+  for (unsigned U = 0; U < N; ++U)
     for (unsigned W : G.neighbors(U))
-      if (Position[W] > Position[U] &&
-          (Parent == ~0u || Position[W] < Position[Parent]))
-        Parent = W;
-    if (Parent != ~0u && Count[U] == Count[Parent] + 1)
-      Dominated[Parent] = true;
-  }
+      if (Position[W] > Position[U]) {
+        ++Count[U];
+        if (Parent[U] == ~0u || Position[W] < Position[Parent[U]])
+          Parent[U] = W;
+      }
+  std::vector<bool> Dominated(N, false);
+  for (unsigned U = 0; U < N; ++U)
+    if (Parent[U] != ~0u && Count[U] == Count[Parent[U]] + 1)
+      Dominated[Parent[U]] = true;
 
   std::vector<std::vector<unsigned>> Cliques;
   for (unsigned V = 0; V < N; ++V) {
     if (Dominated[V])
       continue;
-    std::vector<unsigned> Clique{V};
-    for (unsigned W : G.neighbors(V))
+    // Rows are ascending, so slotting V in as the row passes it keeps the
+    // clique sorted.
+    std::vector<unsigned> Clique;
+    Clique.reserve(Count[V] + 1);
+    bool Placed = false;
+    for (unsigned W : G.neighbors(V)) {
+      if (!Placed && W > V) {
+        Clique.push_back(V);
+        Placed = true;
+      }
       if (Position[W] > Position[V])
         Clique.push_back(W);
-    std::sort(Clique.begin(), Clique.end());
+    }
+    if (!Placed)
+      Clique.push_back(V);
     Cliques.push_back(std::move(Clique));
   }
   return Cliques;

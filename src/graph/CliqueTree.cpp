@@ -7,13 +7,20 @@
 
 #include <algorithm>
 #include <queue>
-#include <tuple>
 
 using namespace rc;
 
 CliqueTree CliqueTree::build(const Graph &G) {
+  std::vector<unsigned> Peo;
+  [[maybe_unused]] bool Chordal = isChordal(G, &Peo);
+  assert(Chordal && "CliqueTree::build requires a chordal graph");
+  return build(G, Peo);
+}
+
+CliqueTree CliqueTree::build(const Graph &G,
+                             const std::vector<unsigned> &Peo) {
   CliqueTree T;
-  T.Cliques = chordalMaximalCliques(G);
+  T.Cliques = chordalMaximalCliques(G, Peo);
   unsigned M = static_cast<unsigned>(T.Cliques.size());
   T.TreeAdj.assign(M, {});
   T.VertexNodes.assign(G.numVertices(), {});
@@ -25,43 +32,27 @@ CliqueTree CliqueTree::build(const Graph &G) {
     return T;
 
   // Maximum-weight spanning forest of the clique intersection graph, by
-  // Kruskal over candidate edges with positive intersection. Candidate edges
-  // come from shared vertices, so there are at most sum |T_v|^2 of them;
-  // cliques sharing a vertex are the only ones that can intersect.
+  // Kruskal over the node pairs with a positive intersection. Only cliques
+  // sharing a vertex intersect, so for each node A the nodes B > A met
+  // through A's vertices are its candidates, and the number of times B is
+  // met is the weight |A ∩ B|. Candidates come out in (A, B) order.
   struct Candidate {
     unsigned A, B, Weight;
   };
   std::vector<Candidate> Candidates;
-  for (unsigned V = 0; V < G.numVertices(); ++V) {
-    const auto &Nodes = T.VertexNodes[V];
-    for (size_t I = 0; I < Nodes.size(); ++I)
-      for (size_t J = I + 1; J < Nodes.size(); ++J)
-        Candidates.push_back({Nodes[I], Nodes[J], 0});
-  }
-  std::sort(Candidates.begin(), Candidates.end(),
-            [](const Candidate &X, const Candidate &Y) {
-              return std::tie(X.A, X.B) < std::tie(Y.A, Y.B);
-            });
-  Candidates.erase(std::unique(Candidates.begin(), Candidates.end(),
-                               [](const Candidate &X, const Candidate &Y) {
-                                 return X.A == Y.A && X.B == Y.B;
-                               }),
-                   Candidates.end());
-  for (Candidate &C : Candidates) {
-    const auto &CA = T.Cliques[C.A], &CB = T.Cliques[C.B];
-    // Both sorted; count the intersection.
-    size_t I = 0, J = 0;
-    while (I < CA.size() && J < CB.size()) {
-      if (CA[I] < CB[J])
-        ++I;
-      else if (CA[I] > CB[J])
-        ++J;
-      else {
-        ++C.Weight;
-        ++I;
-        ++J;
-      }
+  std::vector<unsigned> Shared(M, 0);
+  std::vector<unsigned> Met;
+  for (unsigned A = 0; A < M; ++A) {
+    for (unsigned V : T.Cliques[A])
+      for (unsigned B : T.VertexNodes[V])
+        if (B > A && Shared[B]++ == 0)
+          Met.push_back(B);
+    std::sort(Met.begin(), Met.end());
+    for (unsigned B : Met) {
+      Candidates.push_back({A, B, Shared[B]});
+      Shared[B] = 0;
     }
+    Met.clear();
   }
   std::stable_sort(Candidates.begin(), Candidates.end(),
                    [](const Candidate &X, const Candidate &Y) {

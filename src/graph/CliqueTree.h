@@ -12,8 +12,9 @@
 /// on chordal graphs): two vertices are adjacent iff their subtrees
 /// intersect.
 ///
-/// Construction: the maximal cliques come from a perfect elimination order;
-/// a maximum-weight spanning tree of the clique intersection graph (weights =
+/// Construction: the maximal cliques come from a perfect elimination order
+/// (computed, or handed in by a caller that already has one); a
+/// maximum-weight spanning tree of the clique intersection graph (weights =
 /// intersection sizes) is a clique tree (Bernstein–Goodman / Gavril).
 ///
 //===----------------------------------------------------------------------===//
@@ -33,6 +34,11 @@ public:
   /// Builds a clique tree for the chordal graph \p G.
   /// Asserts chordality in debug builds.
   static CliqueTree build(const Graph &G);
+
+  /// Builds the same tree from \p Peo, a perfect elimination order of \p G
+  /// the caller already has (and has checked). build(G) is this with the
+  /// reverse MCS order.
+  static CliqueTree build(const Graph &G, const std::vector<unsigned> &Peo);
 
   /// Returns the number of tree nodes (maximal cliques). At most |V|.
   unsigned numNodes() const { return static_cast<unsigned>(Cliques.size()); }

@@ -5,6 +5,7 @@
 #include "graph/CliqueTree.h"
 #include "graph/ExactColoring.h"
 #include "graph/Generators.h"
+#include "runner/GapReport.h"
 
 #include <gtest/gtest.h>
 
@@ -205,4 +206,77 @@ TEST(ChordalIncrementalTest, MergedChainIsConflictFree) {
       }
     }
   }
+}
+
+TEST(ChordalIncrementalTest, TreeFormsAgreeWithOneShotsOnGoldenCorpus) {
+  // chordalCoalesce calls the tree forms, which build no witness; the
+  // one-shot forms the oracles call build and check one. Both must pick
+  // the same chain for every affinity of the golden instances up to
+  // n = 256. Each instance is walked the way the driver walks it: every
+  // feasible chain is merged, so later affinities are decided on chordal
+  // quotients, where some are infeasible.
+  unsigned Feasible = 0, Infeasible = 0, Gapped = 0;
+  for (const LabeledProblem &LP : goldenChallengeCorpus()) {
+    const CoalescingProblem &P = LP.Problem;
+    if (P.G.numVertices() > 256)
+      continue;
+    Graph Current = P.G;
+    std::vector<unsigned> ClassOf(P.G.numVertices());
+    for (unsigned V = 0; V < ClassOf.size(); ++V)
+      ClassOf[V] = V;
+    for (const Affinity &A : P.Affinities) {
+      unsigned X = ClassOf[A.U], Y = ClassOf[A.V];
+      if (X == Y)
+        continue;
+      std::string Where = LP.Label + " affinity (" + std::to_string(A.U) +
+                          "," + std::to_string(A.V) + ")";
+      std::vector<unsigned> Peo;
+      ASSERT_TRUE(isChordal(Current, &Peo)) << Where;
+      ASSERT_GE(P.K, chordalCliqueNumber(Current, Peo)) << Where;
+      CliqueTree T = CliqueTree::build(Current, Peo);
+
+      ChordalChainDecision Bfs =
+          chordalIncrementalCoalescing(Current, T, X, Y, P.K);
+      ChordalIncrementalResult BfsOnce =
+          chordalIncrementalCoalescing(Current, X, Y, P.K);
+      EXPECT_EQ(Bfs.Feasible, BfsOnce.Feasible) << Where;
+      EXPECT_EQ(Bfs.MergedChain, BfsOnce.MergedChain) << Where;
+      EXPECT_EQ(Bfs.gapFree(), BfsOnce.GapFree) << Where;
+
+      ChordalChainDecision Dp = chordalIncrementalDP(Current, T, X, Y, P.K);
+      ChordalIncrementalResult DpOnce =
+          chordalIncrementalDP(Current, X, Y, P.K);
+      EXPECT_EQ(Dp.Feasible, DpOnce.Feasible) << Where;
+      EXPECT_EQ(Dp.MergedChain, DpOnce.MergedChain) << Where;
+      EXPECT_EQ(Dp.gapFree(), DpOnce.GapFree) << Where;
+      // The two searches decide the same question.
+      ASSERT_EQ(Bfs.Feasible, Dp.Feasible) << Where;
+
+      if (!Bfs.Feasible) {
+        ++Infeasible;
+        continue;
+      }
+      ++Feasible;
+      Gapped += !Bfs.gapFree();
+      // Merge the BFS chain into its first vertex and renumber densely.
+      std::vector<unsigned> Into(Current.numVertices());
+      for (unsigned C = 0; C < Into.size(); ++C)
+        Into[C] = C;
+      for (unsigned C : Bfs.MergedChain)
+        Into[C] = Bfs.MergedChain.front();
+      std::vector<unsigned> NewId(Current.numVertices(), ~0u);
+      unsigned NumClasses = 0;
+      for (unsigned C = 0; C < Into.size(); ++C)
+        if (NewId[Into[C]] == ~0u)
+          NewId[Into[C]] = NumClasses++;
+      for (unsigned C = 0; C < Into.size(); ++C)
+        NewId[C] = NewId[Into[C]];
+      Current = Current.quotient(NewId, NumClasses);
+      for (unsigned &Class : ClassOf)
+        Class = NewId[Class];
+    }
+  }
+  EXPECT_GT(Feasible, 100u);
+  EXPECT_GT(Infeasible, 100u);
+  EXPECT_GT(Gapped, 0u);
 }

@@ -4,6 +4,7 @@
 #include "graph/CliqueTree.h"
 #include "graph/ExactColoring.h"
 #include "graph/Generators.h"
+#include "runner/GapReport.h"
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,34 @@ namespace {
 std::set<std::vector<unsigned>>
 asSet(std::vector<std::vector<unsigned>> Cliques) {
   return {Cliques.begin(), Cliques.end()};
+}
+
+/// The definition: every vertex's later neighbors are pairwise adjacent.
+bool isPeoByDefinition(const Graph &G, const std::vector<unsigned> &Order) {
+  std::vector<unsigned> Position(G.numVertices());
+  for (unsigned I = 0; I < Order.size(); ++I)
+    Position[Order[I]] = I;
+  for (unsigned V = 0; V < G.numVertices(); ++V) {
+    std::vector<unsigned> Later;
+    for (unsigned W : G.neighbors(V))
+      if (Position[W] > Position[V])
+        Later.push_back(W);
+    if (!G.isClique(Later))
+      return false;
+  }
+  return true;
+}
+
+/// Asserts that two clique trees agree node by node: cliques, node order
+/// and tree adjacency.
+void expectSameTree(const CliqueTree &A, const CliqueTree &B,
+                    const std::string &Where) {
+  ASSERT_EQ(A.numNodes(), B.numNodes()) << Where;
+  for (unsigned Node = 0; Node < A.numNodes(); ++Node) {
+    EXPECT_EQ(A.clique(Node), B.clique(Node)) << Where << " node " << Node;
+    EXPECT_EQ(A.treeNeighbors(Node), B.treeNeighbors(Node))
+        << Where << " node " << Node;
+  }
 }
 
 } // namespace
@@ -46,6 +75,50 @@ TEST(ChordalTest, McsOrderIsAPermutation) {
   std::vector<unsigned> Order = mcsOrder(G);
   std::set<unsigned> Seen(Order.begin(), Order.end());
   EXPECT_EQ(Seen.size(), 20u);
+}
+
+TEST(ChordalTest, McsOrderPicksAMaximumCardinalityVertex) {
+  // Each selected vertex has at least as many already-selected neighbors
+  // as any vertex still unselected.
+  Rng Rand(6);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    Graph G = Trial % 2 ? randomGraph(24, 0.25, Rand)
+                        : randomChordalGraph(24, 12, 4, Rand);
+    std::vector<unsigned> Order = mcsOrder(G);
+    ASSERT_EQ(Order.size(), G.numVertices());
+    std::vector<unsigned> Weight(G.numVertices(), 0);
+    std::vector<bool> Selected(G.numVertices(), false);
+    for (unsigned V : Order) {
+      ASSERT_FALSE(Selected[V]) << "trial " << Trial;
+      for (unsigned U = 0; U < G.numVertices(); ++U)
+        EXPECT_TRUE(Selected[U] || Weight[V] >= Weight[U])
+            << "trial " << Trial << " vertex " << U;
+      Selected[V] = true;
+      for (unsigned W : G.neighbors(V))
+        ++Weight[W];
+    }
+    EXPECT_EQ(mcsEliminationOrder(G),
+              std::vector<unsigned>(Order.rbegin(), Order.rend()));
+  }
+}
+
+TEST(ChordalTest, PeoCheckMatchesTheDefinition) {
+  // Random orders of random chordal and non-chordal graphs, small enough
+  // that a fair share of the orders are perfect elimination orders.
+  Rng Rand(7);
+  unsigned Perfect = 0, Imperfect = 0;
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    unsigned N = 3 + static_cast<unsigned>(Rand.nextBelow(7));
+    Graph G = Trial % 3 ? randomChordalGraph(N, N / 2 + 1, 3, Rand)
+                        : randomGraph(N, 0.4, Rand);
+    std::vector<unsigned> Order = Rand.permutation(N);
+    bool Expected = isPeoByDefinition(G, Order);
+    EXPECT_EQ(isPerfectEliminationOrder(G, Order), Expected)
+        << "trial " << Trial;
+    ++(Expected ? Perfect : Imperfect);
+  }
+  EXPECT_GT(Perfect, 50u);
+  EXPECT_GT(Imperfect, 50u);
 }
 
 TEST(ChordalTest, PeoRecognition) {
@@ -163,6 +236,53 @@ TEST(CliqueTreeTest, VerifiesOnRandomChordalGraphs) {
     CliqueTree T = CliqueTree::build(G);
     EXPECT_TRUE(T.verify(G)) << "trial " << Trial;
   }
+}
+
+TEST(CliqueTreeTest, BuildFromAPeoMatchesBuild) {
+  // Handing build the PEO it would compute gives the same tree, node for
+  // node: on the golden-corpus graphs and on random chordal graphs up to
+  // n = 512.
+  std::vector<std::pair<std::string, Graph>> Graphs;
+  for (LabeledProblem &LP : goldenChallengeCorpus())
+    Graphs.emplace_back(LP.Label, std::move(LP.Problem.G));
+  Rng Rand(16);
+  for (unsigned N : {8u, 32u, 64u, 128u, 256u, 512u})
+    for (int Trial = 0; Trial < 3; ++Trial)
+      Graphs.emplace_back("random n=" + std::to_string(N) + " trial " +
+                              std::to_string(Trial),
+                          randomChordalGraph(N, N / 2, 4, Rand));
+  for (const auto &[Where, G] : Graphs) {
+    std::vector<unsigned> Peo = mcsEliminationOrder(G);
+    ASSERT_TRUE(isPerfectEliminationOrder(G, Peo)) << Where;
+    EXPECT_EQ(chordalCliqueNumber(G, Peo), chordalCliqueNumber(G)) << Where;
+    EXPECT_EQ(chordalMaximalCliques(G, Peo), chordalMaximalCliques(G))
+        << Where;
+    CliqueTree FromPeo = CliqueTree::build(G, Peo);
+    expectSameTree(FromPeo, CliqueTree::build(G), Where);
+    EXPECT_TRUE(FromPeo.verify(G)) << Where;
+  }
+}
+
+TEST(CliqueTreeTest, BuildsFromAnyPeo) {
+  // Perfect elimination orders other than MCS's give the same maximal
+  // cliques, the same clique number and a valid clique tree.
+  Rng Rand(17);
+  unsigned Tried = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    unsigned N = 3 + static_cast<unsigned>(Rand.nextBelow(8));
+    Graph G = randomChordalGraph(N, N / 2 + 1, 3, Rand);
+    std::vector<unsigned> Order = Rand.permutation(N);
+    if (!isPeoByDefinition(G, Order))
+      continue;
+    ++Tried;
+    EXPECT_EQ(asSet(chordalMaximalCliques(G, Order)),
+              asSet(chordalMaximalCliques(G)))
+        << "trial " << Trial;
+    EXPECT_EQ(chordalCliqueNumber(G, Order), chordalCliqueNumber(G))
+        << "trial " << Trial;
+    EXPECT_TRUE(CliqueTree::build(G, Order).verify(G)) << "trial " << Trial;
+  }
+  EXPECT_GT(Tried, 50u);
 }
 
 TEST(CliqueTreeTest, PathBetweenNodes) {
