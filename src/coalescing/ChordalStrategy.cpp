@@ -31,7 +31,8 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
 
   unsigned N = P.G.numVertices();
   // The committed classes. No telemetry is attached: the strategy counts
-  // one attempt per decided affinity and one commit per merged vertex.
+  // one attempt per decided affinity and one commit per class a chain
+  // merges away, so the commits total N minus the final class count.
   WorkGraph Classes(P.G);
 
   // Current quotient graph, whose vertices are the dense class ids in
@@ -112,7 +113,7 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       if (ClassRep[DenseIds[V]] == ~0u)
         ClassRep[DenseIds[V]] = V;
     Result.ChainMerges += static_cast<unsigned>(Merged.size()) - 2;
-    for (size_t I = 1; I < Classes.members(Root).size(); ++I)
+    for (size_t I = 1; I < Merged.size(); ++I)
       Count(EngineEvent::MergeCommitted);
   }
 

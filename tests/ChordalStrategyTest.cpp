@@ -7,6 +7,7 @@
 #include "graph/Chordal.h"
 #include "graph/Generators.h"
 #include "graph/GreedyColorability.h"
+#include "runner/GapReport.h"
 
 #include <gtest/gtest.h>
 
@@ -177,4 +178,18 @@ TEST(ChordalStrategyTest, GappedChainsCommitAndStayChordal) {
     }
   }
   EXPECT_GT(Gapped, 100u);
+}
+
+TEST(ChordalStrategyTest, MergesCountEachClassMergedAwayOnce) {
+  // Each committed chain merges its classes into one, so the merge count
+  // over a run is n minus the final class count, even when a class grows
+  // over several commits.
+  for (const LabeledProblem &LP : goldenChallengeCorpus())
+    for (ChordalChain Chain : BothChains) {
+      CoalescingTelemetry T;
+      ChordalStrategyResult R = chordalCoalesce(LP.Problem, Chain, &T);
+      EXPECT_EQ(T.Merges, LP.Problem.G.numVertices() - R.Solution.NumClasses)
+          << LP.Label << (Chain == ChordalChain::Any ? " any" : " dp");
+      EXPECT_EQ(T.MergesRolledBack, 0u) << LP.Label;
+    }
 }
