@@ -73,9 +73,9 @@ ChordalIncrementalResult decideOnce(const Graph &G, unsigned X, unsigned Y,
     return {};
   CliqueTree T = CliqueTree::build(G, Peo);
   ChordalChainDecision D = Decide(G, T, X, Y, K);
-  ChordalIncrementalResult Result;
   if (!D.Feasible)
-    return Result;
+    return {};
+  ChordalIncrementalResult Result;
   Result.Feasible = true;
   Result.GapFree = D.gapFree();
   Result.Witness = chainWitness(G, T, D, K);

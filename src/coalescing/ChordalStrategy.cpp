@@ -86,9 +86,8 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
     // classes whose intervals are disjoint, so no two interfere; merge one
     // original vertex of each. The quotient stays chordal, gapped chain or
     // not (the argument is on ChordalStrategyResult), and its clique number
-    // stays within K. Both are asserted on the quotient's one PEO; together
-    // they give a K-coloring with the whole chain in one color, which is
-    // what the one-shot decisions' witness coloring shows.
+    // stays within K; both are asserted on the quotient's one PEO (the file
+    // comment of ChordalStrategy.h says why that replaces a witness).
     const std::vector<unsigned> &Merged = Decision.MergedChain;
     assert(Merged.size() >= 2 && "chain must contain x and y");
     unsigned Root = ClassRep[Merged.front()];

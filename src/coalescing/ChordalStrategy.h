@@ -18,6 +18,16 @@
 /// more important affinities afterwards" -- the strategy is per-affinity
 /// optimal, not globally optimal (that problem is NP-complete, Theorem 3).
 ///
+/// The driver computes one perfect elimination order per graph it decides
+/// on (the input, then each committed quotient), asserts on it that the
+/// graph is chordal with clique number at most k, and builds that graph's
+/// clique tree from it. It builds no witness coloring: a chordal graph with
+/// clique number at most k is k-colorable, so the quotient's check already
+/// shows a k-coloring that gives the whole merged chain one color, which is
+/// all a witness would show. No invariant goes unchecked on the driver's
+/// path; the one-shot decisions in ChordalIncremental.h still build and
+/// check witnesses for the tests and the fuzz oracles.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COALESCING_CHORDALSTRATEGY_H

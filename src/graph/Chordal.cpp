@@ -13,33 +13,25 @@ std::vector<unsigned> rc::mcsOrder(const Graph &G) {
   std::vector<unsigned> Order;
   Order.reserve(N);
 
-  // Bucket queue keyed by weight: each bucket is a stack of entries, all
-  // threaded through one pool (an entry goes stale when its vertex is
-  // selected or gains weight). Each edge pushes at most one entry. Weights
-  // only increase, so a cursor that moves down by at most one per
-  // selection keeps this O(V + E).
-  std::vector<unsigned> Top(N + 1, ~0u);
-  std::vector<unsigned> EntryVertex, EntryBelow;
-  EntryVertex.reserve(size_t(N) + G.numEdges());
-  EntryBelow.reserve(size_t(N) + G.numEdges());
-  auto push = [&](unsigned Bucket, unsigned V) {
-    EntryVertex.push_back(V);
-    EntryBelow.push_back(Top[Bucket]);
-    Top[Bucket] = static_cast<unsigned>(EntryVertex.size() - 1);
-  };
+  // Bucket queue keyed by weight; weights only increase, so a cursor that
+  // moves down by at most one per selection keeps this O(V + E).
+  std::vector<std::vector<unsigned>> Buckets(N + 1);
   for (unsigned V = 0; V < N; ++V)
-    push(0, V);
+    Buckets[0].push_back(V);
   unsigned Cursor = 0;
 
   for (unsigned Taken = 0; Taken < N; ++Taken) {
     unsigned V = ~0u;
     for (;;) {
-      while (Top[Cursor] != ~0u) {
-        unsigned Candidate = EntryVertex[Top[Cursor]];
-        Top[Cursor] = EntryBelow[Top[Cursor]];
-        if (Selected[Candidate] || Weight[Candidate] != Cursor)
-          continue; // Stale entry.
+      auto &Bucket = Buckets[Cursor];
+      while (!Bucket.empty()) {
+        unsigned Candidate = Bucket.back();
+        if (Selected[Candidate] || Weight[Candidate] != Cursor) {
+          Bucket.pop_back(); // Stale entry.
+          continue;
+        }
         V = Candidate;
+        Bucket.pop_back();
         break;
       }
       if (V != ~0u)
@@ -53,7 +45,7 @@ std::vector<unsigned> rc::mcsOrder(const Graph &G) {
       if (Selected[W])
         continue;
       ++Weight[W];
-      push(Weight[W], W);
+      Buckets[Weight[W]].push_back(W);
       Cursor = std::max(Cursor, Weight[W]);
     }
   }

@@ -3,7 +3,8 @@
 #
 # Default mode runs the BM_ConservativeRule / BM_ConservativeLegacy
 # benchmarks (the incremental worklist driver and the legacy fixpoint
-# driver under the four safety rules) plus the IRC throughput benches, and
+# driver under the four safety rules), the BM_ChordalCoalesce rows (the
+# Theorem 5 driver under both chain rules) and the IRC throughput benches, and
 # writes Google Benchmark JSON to BENCH_conservative.json at the repository
 # root. The checked-in file is the reference for perf review: rerun this
 # script on a quiet machine and diff real_time per benchmark; anything
@@ -120,7 +121,7 @@ trap 'rm -rf "$TMP" "$OUT_TMP"' EXIT
 
 if [ "$MODE" = "conservative" ]; then
   "$BUILD_DIR/bench/bench_conservative" \
-    --benchmark_filter='BM_Conservative(Rule|Legacy)' \
+    --benchmark_filter='BM_Conservative(Rule|Legacy)|BM_ChordalCoalesce' \
     --benchmark_repetitions=3 \
     --benchmark_format=json \
     --benchmark_out="$TMP/conservative.json" \
