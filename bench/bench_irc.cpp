@@ -28,8 +28,8 @@ static void BM_IrcThroughput(benchmark::State &State) {
   State.counters["coalesced"] = Coalesced;
   State.counters["spilled"] = Spilled; // 0 expected: k = omega, chordal.
 }
-// 8192 is past WorkGraph::DefaultDenseThreshold, so that row times IRC on
-// the sparse engine.
+// 8192 is the largest row; IRC builds no WorkGraph, so no size switches
+// its representation, and the rows show how its lists scale.
 BENCHMARK(BM_IrcThroughput)->Range(64, 8192);
 
 static void BM_IrcGeorgeAblation(benchmark::State &State) {

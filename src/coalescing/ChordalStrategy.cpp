@@ -3,7 +3,6 @@
 #include "coalescing/ChordalStrategy.h"
 
 #include "coalescing/ChordalIncremental.h"
-#include "coalescing/WorkGraph.h"
 #include "graph/Chordal.h"
 #include "graph/CliqueTree.h"
 
@@ -29,21 +28,17 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
   assert(P.K >= chordalCliqueNumber(P.G, Peo) &&
          "chordal strategy requires k >= omega");
 
-  unsigned N = P.G.numVertices();
-  // The committed classes. No telemetry is attached: the strategy counts
-  // one attempt per decided affinity and one commit per class a chain
-  // merges away, so the commits total N minus the final class count.
-  WorkGraph Classes(P.G);
-
-  // Current quotient graph, whose vertices are the dense class ids in
-  // DenseIds; its clique tree, built from Peo on first use after each
-  // commit so rejected affinities share it; and per class one original
-  // vertex.
+  // The committed classes: DenseIds maps each vertex to its class, numbered
+  // in order of first appearance by vertex id, and Current is P.G's
+  // quotient by them. Tree is Current's clique tree, built from Peo on
+  // first use after each commit so rejected affinities share it. The
+  // strategy counts one attempt per decided affinity and one commit per
+  // class a chain merges away, so the commits total N minus the final
+  // class count.
   Graph Current = P.G;
-  std::vector<unsigned> DenseIds(N);
+  std::vector<unsigned> DenseIds(P.G.numVertices());
   std::iota(DenseIds.begin(), DenseIds.end(), 0u);
   std::optional<CliqueTree> Tree;
-  std::vector<unsigned> ClassRep = DenseIds;
 
   auto decide = [&](unsigned X, unsigned Y) {
     if (!Tree)
@@ -83,40 +78,40 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
       continue;
     }
     // Merge the whole chain (it includes X and Y). Its vertices are current
-    // classes whose intervals are disjoint, so no two interfere; merge one
-    // original vertex of each. The quotient stays chordal, gapped chain or
-    // not (the argument is on ChordalStrategyResult), and its clique number
-    // stays within K; both are asserted on the quotient's one PEO (the file
+    // classes whose intervals are disjoint, so no two interfere; they get
+    // one label. The quotient stays chordal, gapped chain or not (the
+    // argument is on ChordalStrategyResult), and its clique number stays
+    // within K; both are asserted on the quotient's one PEO (the file
     // comment of ChordalStrategy.h says why that replaces a witness).
     const std::vector<unsigned> &Merged = Decision.MergedChain;
     assert(Merged.size() >= 2 && "chain must contain x and y");
-    unsigned Root = ClassRep[Merged.front()];
-    for (size_t I = 1; I < Merged.size(); ++I)
-      Classes.merge(Root, ClassRep[Merged[I]]);
-    CoalescingSolution Tentative = Classes.solution();
+    std::vector<unsigned> Labels(Current.numVertices());
+    std::iota(Labels.begin(), Labels.end(), 0u);
+    for (unsigned C : Merged)
+      Labels[C] = Merged.front();
+    // Class ids rise with their classes' first vertices, so numbering the
+    // new classes by first appearance over class ids numbers them by first
+    // appearance over vertex ids too.
+    CoalescingSolution Next = solutionFromLabels(Labels);
+    const std::vector<unsigned> &NextIds = Next.ClassIds;
     // P.G's quotient by the new classes, built from Current's fewer edges.
-    std::vector<unsigned> NextIds(Current.numVertices());
-    for (unsigned C = 0; C < NextIds.size(); ++C)
-      NextIds[C] = Tentative.ClassIds[ClassRep[C]];
-    Graph Quotient = Current.quotient(NextIds, Tentative.NumClasses);
+    Graph Quotient = Current.quotient(NextIds, Next.NumClasses);
     Peo = mcsEliminationOrder(Quotient);
     assert(isPerfectEliminationOrder(Quotient, Peo) &&
            "chain merge broke chordality, contradicting Theorem 5");
     assert(chordalCliqueNumber(Quotient, Peo) <= P.K &&
            "chain merge raised the clique number above k");
-    DenseIds = std::move(Tentative.ClassIds);
+    for (unsigned &Id : DenseIds)
+      Id = NextIds[Id];
     Current = std::move(Quotient);
     Tree.reset();
-    ClassRep.assign(Tentative.NumClasses, ~0u);
-    for (unsigned V = 0; V < N; ++V)
-      if (ClassRep[DenseIds[V]] == ~0u)
-        ClassRep[DenseIds[V]] = V;
     Result.ChainMerges += static_cast<unsigned>(Merged.size()) - 2;
     for (size_t I = 1; I < Merged.size(); ++I)
       Count(EngineEvent::MergeCommitted);
   }
 
-  Result.Solution = Classes.solution();
+  Result.Solution.ClassIds = std::move(DenseIds);
+  Result.Solution.NumClasses = Current.numVertices();
   Result.Stats = evaluateSolution(P, Result.Solution);
   assert(isValidCoalescing(P.G, Result.Solution) &&
          "chordal strategy produced an invalid coalescing");

@@ -3,12 +3,10 @@
 // Faithful port of the George–Appel worklist pseudocode ("Iterated Register
 // Coalescing", TOPLAS 1996; Appel, "Modern Compiler Implementation").
 //
-// Merges go through the shared WorkGraph engine, which holds the classes
-// and the solution and answers one question: whether a move's two
-// endpoints interfere (the constrained check). Every other adjacency
-// question IRC asks reads its own lists. AdjList and Degree are IRC's own:
-// AdjList's insertion order drives the simplify order, and Appel's degree
-// leaves out simplified neighbors.
+// IRC keeps its classes once, in Appel's Alias, and answers every
+// adjacency question from its own lists, the move's constrained check
+// included. AdjList's insertion order drives the simplify order, and
+// Appel's Degree leaves out simplified neighbors.
 //
 // The live-list invariant. Call a node live when it is neither Coalesced
 // nor OnStack. For live T and U, T is a live entry of AdjList[U] exactly
@@ -17,7 +15,9 @@
 // every live neighbor of v, deduplicated against the lists themselves, so
 // every edge between two live nodes' classes reaches their representatives
 // and no live pair is listed twice. Edges to nodes already OnStack are
-// never needed again. So three tests read stamps instead of probing:
+// never needed again. So the constrained check walks the shorter of the
+// two live lists for the other node, and three tests read stamps instead
+// of probing:
 //  - Briggs stamps V's significant live neighbors. A stamped entry of U's
 //    list is a common neighbor and loses one edge in the merge; V's second
 //    walk counts only the stamped entries U's walk did not see, which are
@@ -43,8 +43,6 @@
 
 #include "coalescing/IteratedRegisterCoalescing.h"
 
-#include "coalescing/WorkGraph.h"
-
 #include <algorithm>
 #include <numeric>
 #include <type_traits>
@@ -58,7 +56,7 @@ public:
   Irc(const CoalescingProblem &P, const IrcOptions &Options,
       CoalescingTelemetry *Telemetry)
       : P(P), Options(Options), Telemetry(Telemetry), K(P.K),
-        N(P.G.numVertices()), WG(P.G) {}
+        N(P.G.numVertices()) {}
 
   IrcResult run();
 
@@ -85,11 +83,13 @@ private:
     return State[N0] != NodeState::OnStack &&
            State[N0] != NodeState::Coalesced;
   }
-  /// Appel's adjSet test, answered by the engine (see the file comment);
-  /// only the move's constrained check asks it.
-  bool inAdjSet(unsigned U, unsigned V) const {
+  /// Appel's adjSet test, read from the shorter of the two live lists
+  /// (see the file comment); only the move's constrained check asks it.
+  bool inAdjSet(unsigned U, unsigned V) {
     assert(isLive(U) && isLive(V) && "adjSet is only queried for live nodes");
-    return WG.classesAdjacent(WG.classOf(U), WG.classOf(V));
+    if (AdjList[V].size() < AdjList[U].size())
+      std::swap(U, V);
+    return !forEachAdjacent(U, [V](unsigned T) { return T != V; });
   }
   /// Calls F on each live entry of N0's list, in order, and drops the dead
   /// entries it passes (see the file comment). When F returns bool, false
@@ -169,9 +169,6 @@ private:
   CoalescingTelemetry *Telemetry;
   unsigned K;
   unsigned N;
-  /// The coalesced classes; no telemetry attached, IRC counts its own
-  /// events.
-  WorkGraph WG;
 
   std::vector<NodeState> State;
   std::vector<unsigned> Alias;
@@ -403,7 +400,6 @@ void Irc::combine(unsigned U, unsigned V) {
     }
     decrementDegree(T);
   });
-  WG.merge(U, V);
   if (Degree[U] >= K && State[U] == NodeState::FreezeWL) {
     removeFromWorklist(U);
     State[U] = NodeState::SpillWL;
@@ -524,7 +520,10 @@ IrcResult Irc::run() {
   Result.Colors = std::move(Colors);
   // A coalesced class containing a spilled root stays merged for
   // reporting purposes.
-  Result.Solution = WG.solution();
+  std::vector<unsigned> Roots(N);
+  for (unsigned V = 0; V < N; ++V)
+    Roots[V] = getAlias(V);
+  Result.Solution = solutionFromLabels(Roots);
   Result.Stats = evaluateSolution(P, Result.Solution);
   Result.Spilled = SpilledNodes;
   for (MoveState S : MState) {

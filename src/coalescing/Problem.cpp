@@ -49,6 +49,20 @@ CoalescingSolution rc::identitySolution(const Graph &G) {
   return S;
 }
 
+CoalescingSolution rc::solutionFromLabels(const std::vector<unsigned> &Labels) {
+  CoalescingSolution S;
+  S.ClassIds.resize(Labels.size());
+  std::vector<unsigned> DenseId(Labels.size(), ~0u);
+  for (size_t V = 0; V < Labels.size(); ++V) {
+    unsigned L = Labels[V];
+    assert(L < Labels.size() && "label out of range");
+    if (DenseId[L] == ~0u)
+      DenseId[L] = S.NumClasses++;
+    S.ClassIds[V] = DenseId[L];
+  }
+  return S;
+}
+
 double rc::totalAffinityWeight(const CoalescingProblem &P) {
   double Total = 0;
   for (const Affinity &A : P.Affinities)

@@ -69,6 +69,11 @@ Graph buildCoalescedGraph(const Graph &G, const CoalescingSolution &S);
 /// The identity solution (nothing coalesced).
 CoalescingSolution identitySolution(const Graph &G);
 
+/// The solution whose classes are the vertices sharing a label in
+/// \p Labels (one per vertex, each below Labels.size()), with dense ids in
+/// order of first appearance by vertex id.
+CoalescingSolution solutionFromLabels(const std::vector<unsigned> &Labels);
+
 /// Total weight of all affinities of \p P.
 double totalAffinityWeight(const CoalescingProblem &P);
 

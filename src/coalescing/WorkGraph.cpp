@@ -766,20 +766,8 @@ void WorkGraph::commit() {
 }
 
 CoalescingSolution WorkGraph::solution() const {
-  unsigned N = numOriginalVertices();
-  CoalescingSolution S;
-  S.ClassIds.assign(N, 0);
-  // Dense ids in order of first appearance by vertex id.
-  std::vector<unsigned> DenseId(N, ~0u);
-  unsigned Next = 0;
-  for (unsigned V = 0; V < N; ++V) {
-    unsigned R = Rep[V];
-    if (DenseId[R] == ~0u)
-      DenseId[R] = Next++;
-    S.ClassIds[V] = DenseId[R];
-  }
-  assert(Next == NumClasses && "class count out of sync");
-  S.NumClasses = Next;
+  CoalescingSolution S = solutionFromLabels(Rep);
+  assert(S.NumClasses == NumClasses && "class count out of sync");
   return S;
 }
 

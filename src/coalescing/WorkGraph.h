@@ -6,14 +6,15 @@
 ///
 /// \file
 /// A dynamic view of an interference graph under coalescing merges: classes
-/// of merged vertices with class-level adjacency. Every coalescer that
-/// merges (aggressive, the conservative rules, optimistic de-coalescing,
-/// iterated register coalescing, the Theorem 5 chain driver, node merging,
-/// the exact searches) keeps its classes in one WorkGraph — this is the
-/// shared merge engine the Appel–George comparison pays for uniformly. IRC
-/// asks it only for class interference and the final partition; its
-/// degrees and Briggs/George tests follow Appel's own bookkeeping (see
-/// IteratedRegisterCoalescing.cpp).
+/// of merged vertices with class-level adjacency. Every coalescer that asks
+/// class-level questions (aggressive, the conservative rules, optimistic
+/// de-coalescing, node merging, the exact searches) keeps its classes in
+/// one WorkGraph — this is the shared merge engine the Appel–George
+/// comparison pays for uniformly. Iterated register coalescing and the
+/// Theorem 5 chain driver build none: IRC keeps its classes in Appel's
+/// Alias and reads its own adjacency lists (see
+/// IteratedRegisterCoalescing.cpp), and the Theorem 5 driver relabels the
+/// classes of its quotient graph (see ChordalStrategy.cpp).
 ///
 /// Engine features:
 ///  - Hybrid adjacency. Below a size threshold (dense mode; 4096 vertices

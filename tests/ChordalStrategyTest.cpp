@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 using namespace rc;
 
 namespace {
@@ -183,13 +186,24 @@ TEST(ChordalStrategyTest, GappedChainsCommitAndStayChordal) {
 TEST(ChordalStrategyTest, MergesCountEachClassMergedAwayOnce) {
   // Each committed chain merges its classes into one, so the merge count
   // over a run is n minus the final class count, even when a class grows
-  // over several commits.
+  // over several commits. The class ids are numbered in order of first
+  // appearance by vertex id: each is at most one more than the largest id
+  // before it.
   for (const LabeledProblem &LP : goldenChallengeCorpus())
     for (ChordalChain Chain : BothChains) {
+      std::string Name =
+          LP.Label + (Chain == ChordalChain::Any ? " any" : " dp");
       CoalescingTelemetry T;
       ChordalStrategyResult R = chordalCoalesce(LP.Problem, Chain, &T);
       EXPECT_EQ(T.Merges, LP.Problem.G.numVertices() - R.Solution.NumClasses)
-          << LP.Label << (Chain == ChordalChain::Any ? " any" : " dp");
-      EXPECT_EQ(T.MergesRolledBack, 0u) << LP.Label;
+          << Name;
+      EXPECT_EQ(T.MergesRolledBack, 0u) << Name;
+      unsigned Seen = 0;
+      for (unsigned V = 0; V < R.Solution.ClassIds.size(); ++V) {
+        unsigned Id = R.Solution.ClassIds[V];
+        ASSERT_LE(Id, Seen) << Name << " vertex " << V;
+        Seen = std::max(Seen, Id + 1);
+      }
+      EXPECT_EQ(Seen, R.Solution.NumClasses) << Name;
     }
 }

@@ -98,6 +98,22 @@ TEST(IrcTest, ConstrainedMoveIsNotCoalesced) {
   checkIrcResult(P, R);
 }
 
+TEST(IrcTest, MoveConstrainedByAnEdgeCombineAdded) {
+  // K = 3, edge 1-2, move 0-1 (heavier) then move 0-2. Merging 1 into 0
+  // gives 0 the edge to 2, so the second move is constrained only through
+  // that edge. The constrained check walks the shorter live list: 0's
+  // ([2]) against 2's ([1, 0] until the walk drops 1). Listing the second
+  // move as 0-2 walks U's list, as 2-0 walks V's.
+  for (Affinity Second : {Affinity{0, 2, 1.0}, Affinity{2, 0, 1.0}}) {
+    CoalescingProblem P = makeProblem(3, 3, {{1, 2}}, {{0, 1, 2.0}, Second});
+    IrcResult R = iteratedRegisterCoalescing(P);
+    EXPECT_EQ(R.ConstrainedMoves, 1u) << Second.U << "-" << Second.V;
+    EXPECT_EQ(R.Stats.CoalescedAffinities, 1u) << Second.U << "-" << Second.V;
+    EXPECT_TRUE(R.Solution.merged(0, 1));
+    checkIrcResult(P, R);
+  }
+}
+
 TEST(IrcTest, NoSpillsOnGreedyKColorableInputs) {
   Rng Rand(98);
   for (int Trial = 0; Trial < 15; ++Trial) {
@@ -323,7 +339,7 @@ std::string ircOutputLine(const std::string &Label, unsigned K, bool George,
 // Pins IRC's whole output, not only the affinity stats the strategy goldens
 // check: the colors (and so the simplify and select order), the spills, the
 // classes and the move counts. Cases: the 24 golden instances and the two
-// sparse_golden.manifest instances (past WorkGraph's dense threshold), at
+// sparse_golden.manifest instances (n > 4096), at
 // k and k-1..k-3 so the select phase spills, with George on and off.
 // After an intended change, the failure message diffs the changed lines.
 TEST(IrcTest, OutputsMatchRecording) {
