@@ -33,7 +33,7 @@ ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
   // quotient by them. Tree is Current's clique tree, built from Peo on
   // first use after each commit so rejected affinities share it. The
   // strategy counts one attempt per decided affinity and one commit per
-  // class a chain merges away, so the commits total N minus the final
+  // class a chain merges away, so the commits total n minus the final
   // class count.
   Graph Current = P.G;
   std::vector<unsigned> DenseIds(P.G.numVertices());
