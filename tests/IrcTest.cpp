@@ -101,9 +101,9 @@ TEST(IrcTest, ConstrainedMoveIsNotCoalesced) {
 TEST(IrcTest, MoveConstrainedByAnEdgeCombineAdded) {
   // K = 3, edge 1-2, move 0-1 (heavier) then move 0-2. Merging 1 into 0
   // gives 0 the edge to 2, so the second move is constrained only through
-  // that edge. The constrained check walks the shorter live list: 0's
-  // ([2]) against 2's ([1, 0] until the walk drops 1). Listing the second
-  // move as 0-2 walks U's list, as 2-0 walks V's.
+  // that edge. The constrained check walks the shorter list, 0's ([2])
+  // rather than 2's ([1, 0] with 1 dead). Listing the second move as 0-2
+  // walks U's list, as 2-0 walks V's.
   for (Affinity Second : {Affinity{0, 2, 1.0}, Affinity{2, 0, 1.0}}) {
     CoalescingProblem P = makeProblem(3, 3, {{1, 2}}, {{0, 1, 2.0}, Second});
     IrcResult R = iteratedRegisterCoalescing(P);
