@@ -23,7 +23,7 @@ AggressiveResult rc::aggressiveCoalesceGreedy(const CoalescingProblem &P,
     const Affinity &A = P.Affinities[Idx];
     if (WG.sameClass(A.U, A.V))
       continue;
-    WG.note(EngineEvent::MergeAttempted, A.U, A.V);
+    WG.note(EngineEvent::MergeAttempted);
     if (!WG.interfere(A.U, A.V))
       WG.merge(A.U, A.V);
   }

@@ -11,28 +11,28 @@ using namespace rc;
 
 bool rc::briggsTest(const WorkGraph &WG, unsigned U, unsigned V,
                     [[maybe_unused]] unsigned K) {
-  WG.note(EngineEvent::BriggsTestRun, U, V);
+  WG.note(EngineEvent::BriggsTestRun);
   assert(WG.degreeCacheK() == K && "enable the degree cache at K first");
   bool Passed = WG.briggsSafe(WG.classOf(U), WG.classOf(V));
   if (Passed)
-    WG.note(EngineEvent::BriggsTestPassed, U, V);
+    WG.note(EngineEvent::BriggsTestPassed);
   return Passed;
 }
 
 bool rc::georgeTest(const WorkGraph &WG, unsigned U, unsigned V,
                     [[maybe_unused]] unsigned K) {
-  WG.note(EngineEvent::GeorgeTestRun, U, V);
+  WG.note(EngineEvent::GeorgeTestRun);
   assert(WG.degreeCacheK() == K && "enable the degree cache at K first");
   bool Passed = WG.georgeSafe(WG.classOf(U), WG.classOf(V));
   if (Passed)
-    WG.note(EngineEvent::GeorgeTestPassed, U, V);
+    WG.note(EngineEvent::GeorgeTestPassed);
   return Passed;
 }
 
 bool rc::bruteForceTest(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
                         std::vector<unsigned> *StuckReps,
                         bool PreMergeGreedy) {
-  WG.note(EngineEvent::BruteForceTestRun, U, V);
+  WG.note(EngineEvent::BruteForceTestRun);
   WG.checkpoint();
   unsigned C = WG.merge(U, V);
   // From a greedy-k-colorable quotient the only k-core one merge can
@@ -42,7 +42,7 @@ bool rc::bruteForceTest(WorkGraph &WG, unsigned U, unsigned V, unsigned K,
                     : WG.quotientGreedyKColorable(K, StuckReps);
   WG.rollback();
   if (Passed)
-    WG.note(EngineEvent::BruteForceTestPassed, U, V);
+    WG.note(EngineEvent::BruteForceTestPassed);
   return Passed;
 }
 
@@ -73,8 +73,6 @@ public:
                 bool FilterDrops)
       : WG(WG), LastTouched(LastTouched), WordStamp(WordStamp), K(K),
         FilterDrops(FilterDrops) {}
-
-  void onEvent(EngineEvent, unsigned, unsigned) override {}
 
   void onMergeTouched(unsigned Root, unsigned Loser,
                       const std::vector<unsigned> &DegreeDropped) override {
@@ -320,7 +318,7 @@ ConservativeResult rc::conservativeCoalesce(const CoalescingProblem &P,
         Done[Idx] = true;
         continue;
       }
-      WG.note(EngineEvent::MergeAttempted, A.U, A.V);
+      WG.note(EngineEvent::MergeAttempted);
       if (WG.interfere(A.U, A.V)) {
         Cat[Idx] = Category::Interfering;
         continue;
@@ -372,8 +370,8 @@ ConservativeResult rc::conservativeCoalesce(const CoalescingProblem &P,
   // All three tests preserve greedy-k-colorability (Section 4). The full
   // rebuild-and-recheck is two orders of magnitude more work than the
   // driver itself at scale, so it compiles in only under
-  // -DRC_EXPENSIVE_CHECKS; the coalescer-sound fuzz property checks the
-  // same claim continuously.
+  // RC_EXPENSIVE_CHECKS, which sanitizer builds (-DRC_SANITIZE=...) define;
+  // the coalescer-sound fuzz property checks the same claim continuously.
 #ifdef RC_EXPENSIVE_CHECKS
   assert((!InputGreedy ||
           isGreedyKColorable(buildCoalescedGraph(P.G, Result.Solution),

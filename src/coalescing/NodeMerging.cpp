@@ -26,18 +26,19 @@ NodeMergingResult rc::mergeNodesForColorability(const Graph &G, unsigned K) {
       if (RepOfDense[S.ClassIds[V]] == ~0u)
         RepOfDense[S.ClassIds[V]] = WG.classOf(V);
 
-    // Best non-adjacent stuck pair by common-neighbor count.
+    // Best non-adjacent stuck pair by common-neighbor count, counted on
+    // the quotient: its class ids map one-to-one onto the representatives.
     unsigned BestA = ~0u, BestB = ~0u, BestCommon = 0;
     for (size_t I = 0; I < E.Stuck.size(); ++I) {
-      unsigned A = RepOfDense[E.Stuck[I]];
+      unsigned A = E.Stuck[I];
       for (size_t J = I + 1; J < E.Stuck.size(); ++J) {
-        unsigned B = RepOfDense[E.Stuck[J]];
-        if (WG.interfere(A, B))
+        unsigned B = E.Stuck[J];
+        if (Quotient.hasEdge(A, B))
           continue;
-        // Two-pointer intersection count over the sorted neighbor lists.
+        // Two-pointer intersection count over the sorted neighbor rows.
         unsigned Common = 0;
-        VertexSpan NA = WG.neighborClasses(A);
-        VertexSpan NB = WG.neighborClasses(B);
+        VertexSpan NA = Quotient.neighbors(A);
+        VertexSpan NB = Quotient.neighbors(B);
         for (size_t IA = 0, IB = 0; IA < NA.size() && IB < NB.size();) {
           if (NA[IA] < NB[IB])
             ++IA;
@@ -50,8 +51,8 @@ NodeMergingResult rc::mergeNodesForColorability(const Graph &G, unsigned K) {
           }
         }
         if (Common > BestCommon) {
-          BestA = A;
-          BestB = B;
+          BestA = RepOfDense[A];
+          BestB = RepOfDense[B];
           BestCommon = Common;
         }
       }

@@ -109,7 +109,7 @@ OptimisticResult rc::optimisticCoalesce(const CoalescingProblem &P,
     for (unsigned Idx = 0; Idx < NumAffinities; ++Idx)
       if (Kept[Idx] && WG.classOf(P.Affinities[Idx].U) == BestClass)
         Kept[Idx] = false;
-    WG.note(EngineEvent::DeCoalesce, BestClass);
+    WG.note(EngineEvent::DeCoalesce);
     ++Result.Dissolutions;
   }
 
@@ -135,7 +135,7 @@ OptimisticResult rc::optimisticCoalesce(const CoalescingProblem &P,
       const Affinity &A = P.Affinities[Idx];
       if (WG.sameClass(A.U, A.V))
         continue;
-      WG.note(EngineEvent::MergeAttempted, A.U, A.V);
+      WG.note(EngineEvent::MergeAttempted);
       if (WG.interfere(A.U, A.V))
         continue;
       if (!briggsTest(WG, A.U, A.V, P.K) &&
@@ -144,7 +144,7 @@ OptimisticResult rc::optimisticCoalesce(const CoalescingProblem &P,
         continue;
       WG.merge(A.U, A.V);
       Kept[Idx] = true;
-      WG.note(EngineEvent::AffinityRestored, A.U, A.V);
+      WG.note(EngineEvent::AffinityRestored);
       ++Result.Restored;
     }
   }

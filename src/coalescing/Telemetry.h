@@ -16,8 +16,9 @@
 /// Two hooks exist on the engine:
 ///  - attachTelemetry(CoalescingTelemetry*): inlined counter increments,
 ///    cheap enough for the hot path (a null check when detached);
-///  - setObserver(EngineObserver*): a virtual per-event callback for tools
-///    and tests that want the event stream itself.
+///  - setObserver(EngineObserver*): a virtual callback per committed merge
+///    naming the classes it touched (the incremental conservative driver's
+///    reactivation source).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,34 +101,16 @@ struct CoalescingTelemetry {
   void add(const CoalescingTelemetry &Other);
 };
 
-/// Observer interface over the raw event stream.
+/// Observer of the engine's committed merges.
 class EngineObserver {
 public:
   virtual ~EngineObserver() = default;
-  /// Called once per event. \p U and \p V carry the class pair for merge
-  /// and interference events and are ~0u otherwise.
-  virtual void onEvent(EngineEvent E, unsigned U, unsigned V) = 0;
   /// Called once per committed merge with the classes the merge touched:
   /// the surviving representative, the absorbed class, and every class
   /// whose degree dropped (a neighbor of both endpoints). Fires on the
-  /// merge only, not on its rollback. Default: ignore.
+  /// merge only, not on its rollback.
   virtual void onMergeTouched(unsigned Root, unsigned Loser,
-                              const std::vector<unsigned> &DegreeDropped) {
-    (void)Root;
-    (void)Loser;
-    (void)DegreeDropped;
-  }
-};
-
-/// An EngineObserver that counts into a CoalescingTelemetry (for callers
-/// that only have the observer hook).
-class TelemetryObserver final : public EngineObserver {
-public:
-  explicit TelemetryObserver(CoalescingTelemetry &T) : T(T) {}
-  void onEvent(EngineEvent E, unsigned, unsigned) override { T.count(E); }
-
-private:
-  CoalescingTelemetry &T;
+                              const std::vector<unsigned> &DegreeDropped) = 0;
 };
 
 /// Adds the elapsed microseconds to \p Micros on destruction; no-op when

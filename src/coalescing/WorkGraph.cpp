@@ -6,15 +6,6 @@
 
 using namespace rc;
 
-/// Appends the set bit positions of \p Row (over \p Words words) to \p Out,
-/// ascending.
-static void appendBits(const uint64_t *Row, unsigned Words,
-                       std::vector<unsigned> &Out) {
-  for (unsigned W = 0; W < Words; ++W)
-    for (uint64_t B = Row[W]; B; B &= B - 1)
-      Out.push_back(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
-}
-
 WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
     : Original(G), Dense(G.numVertices() <= DenseThreshold),
       Rep(G.numVertices()), Rank(G.numVertices(), 0),
@@ -23,8 +14,6 @@ WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
   if (Dense) {
     ClassEdges.reset(N);
     Deg.assign(N, 0);
-    AdjStamp.assign(N, 0);
-    ClassAdj.resize(N);
   } else {
     ClassArena.reset(N);
     ClassArena.reserveEntries(2 * static_cast<size_t>(G.numEdges()));
@@ -33,10 +22,8 @@ WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
     Rep[V] = V;
     Members[V] = {V};
     if (Dense) {
-      // The bit rows are the primary adjacency; sorted vectors are
-      // materialized on demand (see materializedNeighbors). Each row is
-      // filled from its own full neighbor list — symmetry comes from the
-      // input graph, with no scattered column writes.
+      // Each row is filled from its own full neighbor list — symmetry
+      // comes from the input graph, with no scattered column writes.
       Deg[V] = static_cast<unsigned>(G.neighbors(V).size());
       uint64_t *R = ClassEdges.row(V);
       for (unsigned W : G.neighbors(V))
@@ -47,19 +34,6 @@ WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
       ClassArena.assignRow(V, G.neighbors(V));
     }
   }
-}
-
-const std::vector<unsigned> &
-WorkGraph::materializedNeighbors(unsigned C) const {
-  assert(Dense && "sparse mode maintains neighbor vectors eagerly");
-  if (!AdjStamp[C]) {
-    std::vector<unsigned> &A = ClassAdj[C];
-    A.clear();
-    A.reserve(Deg[C]);
-    appendBits(ClassEdges.row(C), ClassEdges.wordsPerRow(), A);
-    AdjStamp[C] = 1;
-  }
-  return ClassAdj[C];
 }
 
 void WorkGraph::enableDegreeCache(unsigned K) {
@@ -83,9 +57,6 @@ void WorkGraph::enableDegreeCache(unsigned K) {
   SigCount.assign(N, 0);
   SigWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
   ExactKWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
-  // Tiled rows build lazily per class (see tileRowReady); merges maintain
-  // whichever rows exist from here on.
-  Tiles.reset(N);
   for (unsigned V = 0; V < N; ++V) {
     if (Rep[V] != V)
       continue;
@@ -95,6 +66,66 @@ void WorkGraph::enableDegreeCache(unsigned K) {
     for (unsigned X : ClassArena.row(V))
       ++SigCount[X];
   }
+}
+
+template <typename Visitor>
+bool WorkGraph::forEachBriggsBlockerSparse(unsigned CU, unsigned CV,
+                                           Visitor Visit) const {
+  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
+  auto SigBit = [this](unsigned C) {
+    return (SigWords[C >> 6] >> (C & 63)) & 1;
+  };
+  auto ExactKBit = [this](unsigned C) {
+    return (ExactKWords[C >> 6] >> (C & 63)) & 1;
+  };
+  // One merge-walk over the two sorted rows: commons fall out of the
+  // comparison, so nothing is stamped up front and a stopped walk has paid
+  // only for the entries it saw.
+  VertexSpan RU = ClassArena.row(CU), RV = ClassArena.row(CV);
+  const unsigned *PU = RU.begin(), *EU = RU.end();
+  const unsigned *PV = RV.begin(), *EV = RV.end();
+  while (PU != EU || PV != EV) {
+    unsigned NU = PU != EU ? *PU : ~0u;
+    unsigned NV = PV != EV ? *PV : ~0u;
+    if (NU < NV) {
+      if (NU != CV && SigBit(NU) && Visit(NU))
+        return true;
+      ++PU;
+    } else if (NV < NU) {
+      if (NV != CU && SigBit(NV) && Visit(NV))
+        return true;
+      ++PV;
+    } else {
+      // A common neighbor loses one degree in the merge: it stays high
+      // only above K, i.e. significant but not exactly K. (Commons are
+      // never the endpoints — no row contains its own class.)
+      if (SigBit(NU) && !ExactKBit(NU) && Visit(NU))
+        return true;
+      ++PU;
+      ++PV;
+    }
+  }
+  return false;
+}
+
+template <typename Visitor>
+bool WorkGraph::forEachGeorgeWitnessSparse(unsigned CU, unsigned CV,
+                                           Visitor Visit) const {
+  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
+  // Both rows are sorted, so CV-membership of CU's significant neighbors
+  // is a resumable forward probe — no stamping, and a stopped walk has
+  // touched only the prefix before it.
+  VertexSpan RV = ClassArena.row(CV);
+  const unsigned *PV = RV.begin(), *EV = RV.end();
+  for (unsigned N : ClassArena.row(CU)) {
+    if (N == CV || !((SigWords[N >> 6] >> (N & 63)) & 1))
+      continue;
+    while (PV != EV && *PV < N)
+      ++PV;
+    if ((PV == EV || *PV != N) && Visit(N))
+      return true;
+  }
+  return false;
 }
 
 bool WorkGraph::briggsSafe(unsigned CU, unsigned CV) const {
@@ -113,11 +144,11 @@ bool WorkGraph::briggsSafe(unsigned CU, unsigned CV) const {
   // shrink it), so the test passes without looking at any neighbor.
   if (SigCount[CU] + SigCount[CV] < K)
     return true;
-  // The sparse sweeps skip the endpoints, so the limit needs no adjacency
+  // The walk skips the endpoints, so the limit needs no adjacency
   // correction.
-  if (tileRowReady(CU) && tileRowReady(CV))
-    return briggsHighDegreeBelowSparseTiled(CU, CV, K);
-  return briggsHighDegreeBelowSparseWalk(CU, CV, K);
+  unsigned High = 0;
+  return !forEachBriggsBlockerSparse(CU, CV,
+                                     [&](unsigned) { return ++High >= K; });
 }
 
 bool WorkGraph::georgeSafe(unsigned CU, unsigned CV) const {
@@ -131,9 +162,7 @@ bool WorkGraph::georgeSafe(unsigned CU, unsigned CV) const {
     --SU;
   if (SU == 0)
     return true;
-  if (tileRowReady(CU) && tileRowReady(CV))
-    return georgeWitnessesEmptySparseTiled(CU, CV);
-  return georgeWitnessesEmptySparseWalk(CU, CV);
+  return !forEachGeorgeWitnessSparse(CU, CV, [](unsigned) { return true; });
 }
 
 bool WorkGraph::briggsHighDegreeBelow(unsigned CU, unsigned CV,
@@ -164,192 +193,20 @@ bool WorkGraph::georgeWitnessesEmpty(unsigned CU, unsigned CV) const {
   return true;
 }
 
-bool WorkGraph::briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
-                                                unsigned Limit) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  auto SigBit = [this](unsigned C) {
-    return (SigWords[C >> 6] >> (C & 63)) & 1;
-  };
-  auto ExactKBit = [this](unsigned C) {
-    return (ExactKWords[C >> 6] >> (C & 63)) & 1;
-  };
-  // One merge-walk over the two sorted rows: commons fall out of the
-  // comparison, so nothing is stamped up front and a failing test stops
-  // mid-row having paid only for the entries it saw.
-  VertexSpan RU = ClassArena.row(CU), RV = ClassArena.row(CV);
-  const unsigned *PU = RU.begin(), *EU = RU.end();
-  const unsigned *PV = RV.begin(), *EV = RV.end();
-  unsigned High = 0;
-  while (PU != EU || PV != EV) {
-    unsigned NU = PU != EU ? *PU : ~0u;
-    unsigned NV = PV != EV ? *PV : ~0u;
-    if (NU < NV) {
-      if (NU != CV && SigBit(NU) && ++High >= Limit)
-        return false;
-      ++PU;
-    } else if (NV < NU) {
-      if (NV != CU && SigBit(NV) && ++High >= Limit)
-        return false;
-      ++PV;
-    } else {
-      // A common neighbor loses one degree in the merge: it stays high
-      // only above K, i.e. significant but not exactly K. (Commons are
-      // never the endpoints — no row contains its own class.)
-      if (SigBit(NU) && !ExactKBit(NU) && ++High >= Limit)
-        return false;
-      ++PU;
-      ++PV;
-    }
-  }
-  return true;
-}
-
 void WorkGraph::appendBriggsHighDegreeSparse(unsigned CU, unsigned CV,
                                              std::vector<unsigned> &Out) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  auto SigBit = [this](unsigned C) {
-    return (SigWords[C >> 6] >> (C & 63)) & 1;
-  };
-  auto ExactKBit = [this](unsigned C) {
-    return (ExactKWords[C >> 6] >> (C & 63)) & 1;
-  };
-  // Same merge-walk as briggsHighDegreeBelowSparseWalk, collecting instead
-  // of counting. CV's exclusive blockers detour through ScratchList so the
-  // emitted order matches the legacy two-loop walk exactly.
-  ScratchList.clear();
-  VertexSpan RU = ClassArena.row(CU), RV = ClassArena.row(CV);
-  const unsigned *PU = RU.begin(), *EU = RU.end();
-  const unsigned *PV = RV.begin(), *EV = RV.end();
-  while (PU != EU || PV != EV) {
-    unsigned NU = PU != EU ? *PU : ~0u;
-    unsigned NV = PV != EV ? *PV : ~0u;
-    if (NU < NV) {
-      if (NU != CV && SigBit(NU))
-        Out.push_back(NU);
-      ++PU;
-    } else if (NV < NU) {
-      if (NV != CU && SigBit(NV))
-        ScratchList.push_back(NV);
-      ++PV;
-    } else {
-      if (SigBit(NU) && !ExactKBit(NU))
-        Out.push_back(NU);
-      ++PU;
-      ++PV;
-    }
-  }
-  Out.insert(Out.end(), ScratchList.begin(), ScratchList.end());
+  forEachBriggsBlockerSparse(CU, CV, [&Out](unsigned X) {
+    Out.push_back(X);
+    return false;
+  });
 }
 
 void WorkGraph::appendGeorgeWitnessesSparse(unsigned CU, unsigned CV,
                                             std::vector<unsigned> &Out) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  VertexSpan RV = ClassArena.row(CV);
-  const unsigned *PV = RV.begin(), *EV = RV.end();
-  for (unsigned N : ClassArena.row(CU)) {
-    if (N == CV || !((SigWords[N >> 6] >> (N & 63)) & 1))
-      continue;
-    while (PV != EV && *PV < N)
-      ++PV;
-    if (PV == EV || *PV != N)
-      Out.push_back(N);
-  }
-}
-
-bool WorkGraph::georgeWitnessesEmptySparseWalk(unsigned CU,
-                                               unsigned CV) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  // Both rows are sorted, so CV-membership of CU's significant neighbors
-  // is a resumable forward probe — no stamping, and a witness exits
-  // having touched only the prefix before it.
-  VertexSpan RV = ClassArena.row(CV);
-  const unsigned *PV = RV.begin(), *EV = RV.end();
-  for (unsigned N : ClassArena.row(CU)) {
-    if (N == CV || !((SigWords[N >> 6] >> (N & 63)) & 1))
-      continue;
-    while (PV != EV && *PV < N)
-      ++PV;
-    if (PV == EV || *PV != N)
-      return false;
-  }
-  return true;
-}
-
-bool WorkGraph::briggsHighDegreeBelowSparseTiled(unsigned CU, unsigned CV,
-                                                 unsigned Limit) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  assert(Tiles.built(CU) && Tiles.built(CV) && "tile rows not built");
-  constexpr unsigned WPT = TiledBitRows::WordsPerTile;
-  const uint32_t *IU = Tiles.tileIndices(CU), *IV = Tiles.tileIndices(CV);
-  const uint64_t *WU = Tiles.tileWords(CU), *WV = Tiles.tileWords(CV);
-  const unsigned NU = Tiles.tileCount(CU), NV = Tiles.tileCount(CV);
-  // Endpoint bits are masked out of the sweep — the walk skips the
-  // endpoints, so unlike the dense form no limit correction exists.
-  const size_t CUWord = CU >> 6, CVWord = CV >> 6;
-  const uint64_t CUBit = uint64_t(1) << (CU & 63);
-  const uint64_t CVBit = uint64_t(1) << (CV & 63);
-  unsigned High = 0;
-  unsigned I = 0, J = 0;
-  while (I < NU || J < NV) {
-    uint32_t TI = I < NU ? IU[I] : ~uint32_t(0);
-    uint32_t TJ = J < NV ? IV[J] : ~uint32_t(0);
-    uint32_t T = TI < TJ ? TI : TJ;
-    const uint64_t *AU = TI == T ? WU + size_t(I) * WPT : nullptr;
-    const uint64_t *AV = TJ == T ? WV + size_t(J) * WPT : nullptr;
-    for (unsigned W = 0; W < WPT; ++W) {
-      uint64_t RU = AU ? AU[W] : 0, RV = AV ? AV[W] : 0;
-      uint64_t Union = RU | RV;
-      if (!Union)
-        continue;
-      // A nonzero tile word holds a class id < numOriginalVertices(), so
-      // the global word index is always inside the threshold masks.
-      size_t GW = size_t(T) * WPT + W;
-      uint64_t B = Union & SigWords[GW] & ~(RU & RV & ExactKWords[GW]);
-      if (GW == CUWord)
-        B &= ~CUBit;
-      if (GW == CVWord)
-        B &= ~CVBit;
-      High += static_cast<unsigned>(std::popcount(B));
-      if (High >= Limit)
-        return false;
-    }
-    I += TI == T;
-    J += TJ == T;
-  }
-  return true;
-}
-
-bool WorkGraph::georgeWitnessesEmptySparseTiled(unsigned CU,
-                                                unsigned CV) const {
-  assert(!Dense && CacheK && "needs sparse adjacency and an enabled cache");
-  assert(Tiles.built(CU) && Tiles.built(CV) && "tile rows not built");
-  constexpr unsigned WPT = TiledBitRows::WordsPerTile;
-  const uint32_t *IU = Tiles.tileIndices(CU), *IV = Tiles.tileIndices(CV);
-  const uint64_t *WU = Tiles.tileWords(CU), *WV = Tiles.tileWords(CV);
-  const unsigned NU = Tiles.tileCount(CU), NV = Tiles.tileCount(CV);
-  const size_t CVWord = CV >> 6;
-  const uint64_t CVBit = uint64_t(1) << (CV & 63);
-  // Only CU's tiles can hold witnesses; merge-walk CV's list alongside.
-  unsigned J = 0;
-  for (unsigned I = 0; I < NU; ++I) {
-    uint32_t T = IU[I];
-    while (J < NV && IV[J] < T)
-      ++J;
-    const uint64_t *AU = WU + size_t(I) * WPT;
-    const uint64_t *AV = J < NV && IV[J] == T ? WV + size_t(J) * WPT : nullptr;
-    for (unsigned W = 0; W < WPT; ++W) {
-      uint64_t RU = AU[W];
-      if (!RU)
-        continue;
-      size_t GW = size_t(T) * WPT + W;
-      uint64_t B = RU & SigWords[GW] & ~(AV ? AV[W] : 0);
-      if (GW == CVWord)
-        B &= ~CVBit;
-      if (B)
-        return false;
-    }
-  }
-  return true;
+  forEachGeorgeWitnessSparse(CU, CV, [&Out](unsigned X) {
+    Out.push_back(X);
+    return false;
+  });
 }
 
 void WorkGraph::briggsWatchWords(unsigned CU, unsigned CV,
@@ -473,59 +330,34 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
     const unsigned Words = ClassEdges.wordsPerRow();
     uint64_t *RR = ClassEdges.row(Root);
     const uint64_t *RL = ClassEdges.row(Loser);
-    // Take over the loser's materialization buffer for the walk. If it is
-    // still valid — rollback restores it, so speculative merge/rollback
-    // cycles over the same classes stay on this path — the list is already
-    // built and the walk skips per-bit extraction entirely; either way the
-    // cycle runs allocation-free, which is what the exact searches hammer.
-    const bool LoserValid = AdjStamp[Loser] != 0;
-    LoserAdjList = std::move(ClassAdj[Loser]);
+    LoserAdjList.reserve(Deg[Loser]);
     NewNeighbors.reserve(Deg[Loser]);
     if (NeedCommons)
       Commons.reserve(Deg[Loser]);
-    if (LoserValid) {
-      assert(LoserAdjList.size() == Deg[Loser] && "stale materialization");
-      for (unsigned X : LoserAdjList) {
-        if (!((RR[X >> 6] >> (X & 63)) & 1))
+    for (unsigned W = 0; W < Words; ++W) {
+      uint64_t L = RL[W];
+      if (!L)
+        continue;
+      unsigned Base = W * 64;
+      for (uint64_t B = L; B; B &= B - 1) {
+        unsigned X = Base + static_cast<unsigned>(std::countr_zero(B));
+        LoserAdjList.push_back(X);
+        if (!((RR[W] >> (X & 63)) & 1))
           NewNeighbors.push_back(X);
         else if (NeedCommons)
           Commons.push_back(X);
         else
           --Deg[X]; // Common neighbor; nobody needs the list itself.
       }
-      for (unsigned W = 0; W < Words; ++W)
-        RR[W] |= RL[W];
-    } else {
-      LoserAdjList.clear();
-      LoserAdjList.reserve(Deg[Loser]);
-      for (unsigned W = 0; W < Words; ++W) {
-        uint64_t L = RL[W];
-        if (!L)
-          continue;
-        unsigned Base = W * 64;
-        for (uint64_t B = L; B; B &= B - 1) {
-          unsigned X = Base + static_cast<unsigned>(std::countr_zero(B));
-          LoserAdjList.push_back(X);
-          if (!((RR[W] >> (X & 63)) & 1))
-            NewNeighbors.push_back(X);
-          else if (NeedCommons)
-            Commons.push_back(X);
-          else
-            --Deg[X]; // Common neighbor; nobody needs the list itself.
-        }
-        RR[W] |= L;
-      }
+      RR[W] |= L;
     }
     // Column-side maintenance only: the root's row already took every
     // loser neighbor via the word-wise OR above, and the loser's row is
-    // zeroed wholesale below. Only rows touched here lose their
-    // materialized neighbor lists; the rest of the lazy cache stays warm.
+    // zeroed wholesale below.
     const unsigned LoserWord = Loser >> 6;
     const uint64_t LoserMask = ~(uint64_t(1) << (Loser & 63));
-    for (unsigned X : LoserAdjList) {
+    for (unsigned X : LoserAdjList)
       ClassEdges.row(X)[LoserWord] &= LoserMask;
-      AdjStamp[X] = 0;
-    }
     const unsigned RootWord = Root >> 6;
     const uint64_t RootBit = uint64_t(1) << (Root & 63);
     for (unsigned X : NewNeighbors)
@@ -537,8 +369,6 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
     for (unsigned X : Commons)
       --Deg[X];
     // Deg[Loser] freezes at its pre-merge value for exact LIFO rollback.
-    AdjStamp[Root] = 0;
-    AdjStamp[Loser] = 0;
   } else {
     // Copy the loser's row out of the arena first: every arena mutation
     // below may relocate rows or compact the pool, so spans cannot be
@@ -570,22 +400,6 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
       ClassArena.insert(X, Root);
     ClassArena.mergeSorted(Root, NewNeighbors);
     ClassArena.clearRow(Loser);
-
-    if (CacheK) {
-      // Mirror the relink on whatever tiled rows exist, keeping every
-      // built row equal to its CSR row. The loser's own tiles freeze with
-      // its frozen SigCount when speculating (rollback revives them as
-      // they stand); a committed merge releases the storage.
-      for (unsigned X : LoserAdjList)
-        Tiles.clearIfBuilt(X, Loser);
-      for (unsigned X : NewNeighbors)
-        Tiles.setIfBuilt(X, Root);
-      if (Tiles.built(Root))
-        for (unsigned X : NewNeighbors)
-          Tiles.set(Root, X);
-      if (Marks.empty())
-        Tiles.releaseRow(Loser);
-    }
   }
 
   unsigned RootMembersBefore = static_cast<unsigned>(Members[Root].size());
@@ -614,19 +428,15 @@ unsigned WorkGraph::merge(unsigned U, unsigned V) {
     Rec.LoserAdj = std::move(LoserAdjList);
     Rec.LoserMembers = std::move(Members[Loser]);
     Rec.NewRootNeighbors = std::move(NewNeighbors);
-    if (Dense)
-      ClassAdj[Loser].clear();
     Members[Loser].clear();
     UndoLog.push_back(std::move(Rec));
   } else {
     // Committed for good: release the loser's storage instead of leaving
     // it alive for the rest of the run.
-    if (Dense)
-      std::vector<unsigned>().swap(ClassAdj[Loser]);
     std::vector<unsigned>().swap(Members[Loser]);
   }
 
-  note(EngineEvent::MergeCommitted, Root, Loser);
+  note(EngineEvent::MergeCommitted);
   return Root;
 }
 
@@ -675,7 +485,6 @@ void WorkGraph::undoMerge(MergeRecord &Rec) {
     for (unsigned X : Rec.LoserAdj) {
       RLoser[X >> 6] |= uint64_t(1) << (X & 63);
       ClassEdges.row(X)[LoserWord] |= LoserBit;
-      AdjStamp[X] = 0;
       if (It != End && *It == X) {
         ++It;
         continue;
@@ -683,11 +492,6 @@ void WorkGraph::undoMerge(MergeRecord &Rec) {
       ++Deg[X];
     }
     Deg[Root] -= static_cast<unsigned>(Rec.NewRootNeighbors.size());
-    AdjStamp[Root] = 0;
-    // The recorded list is exactly the revived row (sorted), so the
-    // loser's materialization comes back valid for free.
-    ClassAdj[Loser] = std::move(Rec.LoserAdj);
-    AdjStamp[Loser] = 1;
   } else {
     // Undo the adjacency relink: take back the root-side entries the merge
     // added, then revive the loser's row from the record.
@@ -699,25 +503,10 @@ void WorkGraph::undoMerge(MergeRecord &Rec) {
     ClassArena.assignRow(Loser, Rec.LoserAdj);
     for (unsigned X : Rec.LoserAdj)
       ClassArena.insert(X, Loser);
-
-    if (CacheK) {
-      // The exact reverse of the merge-side tile maintenance. This also
-      // holds for rows tiled only after the merge: they were built from
-      // the post-merge CSR state, and these ops map post-merge to
-      // pre-merge. The loser's frozen tiles (if any) are correct again
-      // the moment its row revives.
-      if (Tiles.built(Root))
-        for (unsigned X : Rec.NewRootNeighbors)
-          Tiles.clear(Root, X);
-      for (unsigned X : Rec.NewRootNeighbors)
-        Tiles.clearIfBuilt(X, Root);
-      for (unsigned X : Rec.LoserAdj)
-        Tiles.setIfBuilt(X, Loser);
-    }
   }
 
   ++NumClasses;
-  note(EngineEvent::MergeRolledBack, Root, Loser);
+  note(EngineEvent::MergeRolledBack);
 }
 
 WorkGraph::Checkpoint WorkGraph::checkpoint() {
@@ -755,11 +544,6 @@ void WorkGraph::commit() {
   assert(!Marks.empty() && "commit without an active checkpoint");
   Marks.pop_back();
   if (Marks.empty()) {
-    // The parked losers are now dead for good; drop their frozen tiles
-    // along with the undo-log.
-    if (!Dense && CacheK)
-      for (const MergeRecord &Rec : UndoLog)
-        Tiles.releaseRow(Rec.Loser);
     UndoLog.clear();
     UndoLog.shrink_to_fit();
   }
@@ -807,17 +591,18 @@ bool WorkGraph::quotientGreedyKColorable(
       continue;
     Removed[V] = true;
     ++Eliminated;
-    // In dense mode this rides the lazy neighbor-list cache: repeated
-    // colorability checks (brute-force probing) re-materialize only the
-    // lists a merge invalidated, and iterate warm contiguous vectors
-    // everywhere else.
-    VertexSpan Nbrs =
-        Dense ? VertexSpan(materializedNeighbors(V)) : ClassArena.row(V);
-    for (unsigned W : Nbrs) {
-      if (Removed[W])
-        continue;
-      if (DegLeft[W]-- == K)
+    auto dropNeighbor = [&](unsigned W) {
+      if (!Removed[W] && DegLeft[W]-- == K)
         Queue.push_back(W);
+    };
+    if (Dense) {
+      const uint64_t *R = ClassEdges.row(V);
+      for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
+        for (uint64_t B = R[W]; B; B &= B - 1)
+          dropNeighbor(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
+    } else {
+      for (unsigned W : ClassArena.row(V))
+        dropNeighbor(W);
     }
   }
   if (StuckReps) {

@@ -17,20 +17,17 @@
 /// classes of its quotient graph (see ChordalStrategy.cpp).
 ///
 /// Engine features:
-///  - Hybrid adjacency. Below a size threshold (dense mode; 4096 vertices
-///    cost two megabytes of matrix) class adjacency lives in a row-major
+///  - One class adjacency per mode. Up to a size threshold (dense mode;
+///    4096 vertices cost two megabytes of matrix) it lives in a row-major
 ///    BitRows matrix: merges OR the loser's row into the root's and patch
 ///    the loser's column word-at-a-time, interference tests are O(1) bit
-///    probes, and common-neighbor counts are masked popcounts. Sorted
-///    neighbor vectors are materialized lazily, only when a caller asks
-///    for a class's neighbor list. Above the threshold the sorted rows
-///    live in one pooled adjacency arena (support/AdjacencyArena) — the
-///    primary representation, updated eagerly on every merge; tests
-///    binary-search the smaller row. The cached Briggs/George sweeps keep
-///    paying off past the threshold as merge-walks over the two sorted
-///    rows, so a safety test is O(deg(u) + deg(v)) with commons falling
-///    out of the comparison; big tile-dense classes switch to popcount
-///    sweeps over tiled bit rows (support/TiledBitRows).
+///    probes, the Briggs/George tests are masked word sweeps, and
+///    neighbour walks iterate a row's set bits. Above the threshold the
+///    sorted rows live in one pooled adjacency arena
+///    (support/AdjacencyArena), updated eagerly on every merge; tests
+///    binary-search the smaller row, and a Briggs/George test is one
+///    merge-walk over the two sorted rows, O(deg(u) + deg(v)) with commons
+///    falling out of the comparison.
 ///  - Merge undo-log. checkpoint()/rollback() bracket speculative merges so
 ///    probing strategies (brute-force conservative test, exact branch and
 ///    bound, optimistic de-coalescing) no longer deep-copy the graph.
@@ -45,9 +42,9 @@
 ///    before it is known to be greedy-k-colorable.
 ///  - Instrumentation. An optional CoalescingTelemetry sink counts engine
 ///    events (merges, rollbacks, interference queries, colorability
-///    checks); an optional EngineObserver sees the raw event stream and,
-///    per committed merge, the set of classes the merge touched (the
-///    incremental conservative driver's reactivation source).
+///    checks); an optional EngineObserver sees, per committed merge, the
+///    set of classes the merge touched (the incremental conservative
+///    driver's reactivation source).
 ///
 /// Class representatives follow union by rank (higher rank wins; ties keep
 /// the first argument and bump its rank), so a partition's representatives
@@ -65,7 +62,6 @@
 #include "support/AdjacencyArena.h"
 #include "support/BitRows.h"
 #include "support/CancelToken.h"
-#include "support/TiledBitRows.h"
 #include "support/VertexSpan.h"
 
 #include <algorithm>
@@ -105,7 +101,7 @@ public:
 
   /// Returns true if the classes of \p U and \p V interfere.
   bool interfere(unsigned U, unsigned V) const {
-    note(EngineEvent::InterferenceQuery, U, V);
+    note(EngineEvent::InterferenceQuery);
     return classesAdjacent(Rep[U], Rep[V]);
   }
 
@@ -126,16 +122,6 @@ public:
   unsigned degree(unsigned V) const {
     unsigned C = Rep[V];
     return Dense ? Deg[C] : ClassArena.rowSize(C);
-  }
-
-  /// The neighbor classes (as representatives, sorted ascending) of the
-  /// class of \p V. In dense mode the list is materialized from the
-  /// class's bit row on first use after a merge or rollback. The span
-  /// stays valid until the next merge, rollback, or (dense mode)
-  /// materialization of that same class.
-  VertexSpan neighborClasses(unsigned V) const {
-    unsigned C = Rep[V];
-    return Dense ? VertexSpan(materializedNeighbors(C)) : ClassArena.row(C);
   }
 
   /// Original vertices in the class of \p V.
@@ -192,9 +178,9 @@ public:
   /// merge and is counted once; the endpoints themselves are never
   /// counted. Requires an enabled cache. Dense mode answers with one
   /// masked word sweep; sparse mode passes for free when the two classes'
-  /// significant-neighbor counters sum below K, and otherwise sweeps the
-  /// tiled rows when both classes have them (see tileRowReady) or
-  /// merge-walks the sorted rows. Every path gives the same answer.
+  /// significant-neighbor counters sum below K, and otherwise merge-walks
+  /// the sorted rows (forEachBriggsBlockerSparse). Both paths give the
+  /// same answer.
   bool briggsSafe(unsigned CU, unsigned CV) const;
 
   /// George's test for merging class \p CU into \p CV at the cache K:
@@ -204,83 +190,19 @@ public:
   /// \p CU has no significant neighbor besides \p CV.
   bool georgeSafe(unsigned CU, unsigned CV) const;
 
-  /// Sparse cached mode: true iff the Briggs high-degree count for a merge
-  /// of \p CU and \p CV stays below \p Limit, by one merge-walk over both
-  /// endpoints' sorted rows — common neighbors fall out of the comparison
-  /// instead of costing a binary search each; significance and exactly-K
-  /// come from the threshold masks the degree cache maintains in both
-  /// modes. The endpoints are skipped. Aborts as soon as the count reaches
-  /// \p Limit. briggsSafe's untiled sparse path; public, with an explicit
-  /// limit, so the parity fuzz property can pit it against the tiled sweep.
-  bool briggsHighDegreeBelowSparseWalk(unsigned CU, unsigned CV,
-                                       unsigned Limit) const;
-
-  /// Sparse cached mode: true iff the George test passes for merging \p CU
-  /// into \p CV, by walking \p CU's row and probing \p CV's sorted row with
-  /// a resumable forward cursor per significant neighbor. georgeSafe's
-  /// untiled sparse path; public for the parity fuzz property.
-  bool georgeWitnessesEmptySparseWalk(unsigned CU, unsigned CV) const;
-
   /// Sparse cached mode: appends the Briggs blockers for a merge of \p CU
   /// and \p CV — the neighbor classes still significant after the merge —
-  /// \p CU's row first, then \p CV's exclusive neighbors. One merge-walk
-  /// over the two sorted rows with bit-mask significance probes; the
-  /// conservative driver's sparse watch set for a rejected affinity.
+  /// in ascending class order: briggsSafe's merge-walk, run to the end.
+  /// The conservative driver's sparse watch set for a rejected affinity.
   void appendBriggsHighDegreeSparse(unsigned CU, unsigned CV,
                                     std::vector<unsigned> &Out) const;
 
   /// Sparse cached mode: appends every George witness for merging \p CU
   /// into \p CV — significant neighbors of \p CU outside \p CV's
-  /// neighborhood — in \p CU's row order.
+  /// neighborhood — in \p CU's row order: georgeSafe's walk, run to the
+  /// end.
   void appendGeorgeWitnessesSparse(unsigned CU, unsigned CV,
                                    std::vector<unsigned> &Out) const;
-
-  /// Tiled Briggs sweep (both classes' tile rows must be built, see
-  /// tileRowReady): a merge-walk over the two sorted tile lists computing
-  /// the same fused word formula as the dense sweep —
-  /// significant union minus commons at exactly K — with the endpoint bits
-  /// masked out to match the walk's skip-endpoints semantics.
-  bool briggsHighDegreeBelowSparseTiled(unsigned CU, unsigned CV,
-                                        unsigned Limit) const;
-
-  /// Tiled George sweep over \p CU's tiles against \p CV's (both built):
-  /// a word of `sig(CU-row) & ~CV-row` outside the CV bit is a witness.
-  bool georgeWitnessesEmptySparseTiled(unsigned CU, unsigned CV) const;
-
-  /// Sparse cached mode: returns true once class \p C has a tiled bit row,
-  /// lazily materializing it from the class's CSR row when the row is both
-  /// big (degree >= TileMinDegree) and tile-dense: degree must be at least
-  /// TileMinDensity bits per 512-bit tile spanned by the sorted row
-  /// ((back >> 9) - (front >> 9) + 1, an O(1) lower bound on bits per
-  /// distinct tile). Scattered rows — about one neighbor per tile — stay
-  /// on the walk, where probing degree entries beats popcounting 8 words
-  /// for every nearly-empty tile; concentrated rows flip that economics by
-  /// an order of magnitude. Once built, a row is maintained through every
-  /// merge/undo, so build timing never changes decisions.
-  bool tileRowReady(unsigned C) const {
-    if (Tiles.built(C))
-      return true;
-    VertexSpan Row = ClassArena.row(C);
-    if (TileMinDegree) {
-      if (Row.size() < TileMinDegree)
-        return false;
-      unsigned SpanTiles = (Row.back() >> TiledBitRows::TileShift) -
-                           (Row.front() >> TiledBitRows::TileShift) + 1;
-      if (Row.size() < size_t(TileMinDensity) * SpanTiles)
-        return false;
-    }
-    Tiles.buildRow(C, Row);
-    return true;
-  }
-
-  /// Sets the class degree at or above which sparse cached tests consider
-  /// tiling a class (default DefaultTileMinDegree). Low-degree classes
-  /// stay on the merge-walk, which is cheaper than materializing tiles for
-  /// a handful of neighbors. 0 tiles everything unconditionally
-  /// (bypassing the density gate too — the parity fuzz hook), ~0u disables
-  /// tiling; decisions are identical at any setting. Takes effect on
-  /// future lazy builds — call before the tests run.
-  void setTileMinDegree(unsigned MinDegree) { TileMinDegree = MinDegree; }
 
   /// Dense mode: number of 64-bit words in a class bitmask row (for
   /// callers holding watch sets as masks).
@@ -381,17 +303,15 @@ public:
   /// Attaches (or detaches, with null) a telemetry counter sink.
   void attachTelemetry(CoalescingTelemetry *T) { Telemetry = T; }
 
-  /// Attaches (or detaches, with null) a raw event observer.
+  /// Attaches (or detaches, with null) a committed-merge observer.
   void setObserver(EngineObserver *O) { Observer = O; }
 
-  /// Routes one event to the attached telemetry/observer. Drivers use this
-  /// to report decisions (test outcomes, de-coalesces) through the engine's
-  /// sinks.
-  void note(EngineEvent E, unsigned U = ~0u, unsigned V = ~0u) const {
+  /// Counts one event into the attached telemetry. Drivers use this to
+  /// report decisions (test outcomes, de-coalesces) through the engine's
+  /// sink.
+  void note(EngineEvent E) const {
     if (Telemetry)
       Telemetry->count(E);
-    if (Observer)
-      Observer->onEvent(E, U, V);
   }
 
 private:
@@ -427,14 +347,28 @@ private:
   /// Early-exits on the first word holding a witness.
   bool georgeWitnessesEmpty(unsigned CU, unsigned CV) const;
 
+  /// Sparse mode with an enabled cache: one merge-walk over the sorted
+  /// rows of \p CU and \p CV that hands \p Visit every Briggs blocker
+  /// (a neighbor class still significant after the merge; the endpoints
+  /// are skipped) in ascending order. \p Visit returns true to stop the
+  /// walk. \returns true iff the walk was stopped.
+  template <typename Visitor>
+  bool forEachBriggsBlockerSparse(unsigned CU, unsigned CV,
+                                  Visitor Visit) const;
+
+  /// Sparse mode with an enabled cache: walks \p CU's row, probing \p CV's
+  /// sorted row with a resumable forward cursor, and hands \p Visit every
+  /// George witness (a significant neighbor of \p CU other than \p CV
+  /// outside \p CV's neighborhood) in row order. \p Visit returns true to
+  /// stop the walk. \returns true iff the walk was stopped.
+  template <typename Visitor>
+  bool forEachGeorgeWitnessSparse(unsigned CU, unsigned CV,
+                                  Visitor Visit) const;
+
   /// Class degree through the mode-appropriate representation.
   unsigned classDegree(unsigned C) const {
     return Dense ? Deg[C] : ClassArena.rowSize(C);
   }
-
-  /// Dense mode: rebuilds ClassAdj[C] from the class's bit row unless it
-  /// is already current for this adjacency epoch.
-  const std::vector<unsigned> &materializedNeighbors(unsigned C) const;
 
   /// Updates (or, with \p Undo, exactly reverses) the degree cache for one
   /// merge of \p Loser into \p Root. \p LoserAdj and \p NewNeighbors are
@@ -466,11 +400,11 @@ private:
 
   const Graph &Original;
   bool Dense;
-  /// Dense mode only: interference bits between class representatives,
-  /// row-major so neighborhoods intersect word-at-a-time. Unlike the class
-  /// adjacency vectors, rows are kept exact — a merge clears the loser's
-  /// bits and rollback re-sets them — so masked popcounts never see dead
-  /// classes.
+  /// Dense mode only: the class adjacency — interference bits between
+  /// class representatives, row-major so neighborhoods intersect
+  /// word-at-a-time. Rows are kept exact — a merge clears the loser's bits
+  /// and rollback re-sets them — so masked popcounts and row walks never
+  /// see dead classes.
   BitRows ClassEdges;
   /// Sparse mode only: the primary class adjacency — pooled sorted rows
   /// keyed by representative, updated eagerly on every merge and undo.
@@ -479,18 +413,9 @@ private:
   std::vector<unsigned> Rep;
   /// Union-by-rank state per representative (see file comment).
   std::vector<unsigned> Rank;
-  /// Dense mode only: lazily materialized sorted neighbor vectors cached
-  /// from the bit rows, valid while AdjStamp is set.
-  mutable std::vector<std::vector<unsigned>> ClassAdj;
   /// Dense mode: per-representative class degree. Dead classes freeze at
   /// their pre-merge degree, which is exactly what rollback restores.
   std::vector<unsigned> Deg;
-  /// Dense mode: AdjStamp[C] != 0 iff ClassAdj[C] currently matches row C.
-  /// Merge and rollback clear the stamps of exactly the classes whose rows
-  /// they touch (the two endpoints and the loser's neighborhood), so the
-  /// cache stays warm elsewhere — brute-force probes re-materialize only
-  /// O(deg) lists instead of the whole quotient.
-  mutable std::vector<uint8_t> AdjStamp;
   /// Keyed by representative.
   std::vector<std::vector<unsigned>> Members;
   unsigned NumClasses = 0;
@@ -507,10 +432,6 @@ private:
   std::vector<unsigned> SigCount;
   std::vector<uint64_t> SigWords;
   std::vector<uint64_t> ExactKWords;
-  /// appendBriggsHighDegreeSparse: holds \p CV's exclusive blockers during
-  /// the merge-walk so they can follow \p CU's without a per-call
-  /// allocation.
-  mutable std::vector<unsigned> ScratchList;
   /// mergedQuotientGreedyKColorable scratch, sized once per engine.
   /// LocalSeen and LocalIn are class bit masks: classified, and in the
   /// candidate component (cleared again as the peel removes a class).
@@ -524,19 +445,6 @@ private:
   mutable std::vector<unsigned> LocalDeg;
   mutable std::vector<unsigned> LocalComp;
   mutable std::vector<unsigned> LocalQueue;
-  /// Sparse cached tests: per-class tiled bit rows (512-bit tiles keyed by
-  /// tile index in a pooled arena beside the CSR rows), built lazily for
-  /// big tile-dense classes (see tileRowReady) and then maintained through
-  /// every merge and undo exactly like the CSR rows — a built row always
-  /// equals its CSR row, dead losers freeze for LIFO rollback. Mutable for
-  /// the lazy build inside logically-const tests.
-  mutable TiledBitRows Tiles;
-  /// See setTileRowReady/setTileMinDegree. The density floor of 8 bits per
-  /// spanned tile is where popcounting a tile's 8 words breaks even with
-  /// probing its bits one walk entry at a time.
-  static constexpr unsigned DefaultTileMinDegree = 64;
-  static constexpr unsigned TileMinDensity = 8;
-  unsigned TileMinDegree = DefaultTileMinDegree;
 
   std::vector<MergeRecord> UndoLog;
   /// Active checkpoints (positions into UndoLog, non-decreasing).

@@ -72,7 +72,7 @@ testing::conservativeCoalesceLegacy(const CoalescingProblem &P,
         Done[Idx] = true;
         continue;
       }
-      WG.note(EngineEvent::MergeAttempted, A.U, A.V);
+      WG.note(EngineEvent::MergeAttempted);
       if (WG.interfere(A.U, A.V)) {
         ++Result.InterferenceRejections;
         continue;
@@ -92,8 +92,8 @@ testing::conservativeCoalesceLegacy(const CoalescingProblem &P,
   // All three tests preserve greedy-k-colorability (Section 4). The full
   // rebuild-and-recheck is two orders of magnitude more work than the
   // driver itself at scale, so it compiles in only under
-  // -DRC_EXPENSIVE_CHECKS; the coalescer-sound fuzz property checks the
-  // same claim continuously.
+  // RC_EXPENSIVE_CHECKS, which sanitizer builds (-DRC_SANITIZE=...) define;
+  // the coalescer-sound fuzz property checks the same claim continuously.
 #ifdef RC_EXPENSIVE_CHECKS
   assert((!InputGreedy ||
           isGreedyKColorable(buildCoalescedGraph(P.G, Result.Solution),

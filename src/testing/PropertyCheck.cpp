@@ -213,14 +213,13 @@ static CoalescingProblem generateDifferentialInstance(Rng &Rand) {
   return P;
 }
 
-/// An instance for the sparse tiled-vs-walk parity oracle. Half the draws
-/// straddle at least one 512-bit tile boundary (N > 512) at low density so
-/// the multi-tile merge-walks and the tile insert/erase bookkeeping are
-/// exercised; the rest are small dense-ish graphs where merges quickly
-/// build high-degree classes inside one tile. K rides along in P.K as the
-/// degree-cache pressure.
-static CoalescingProblem generateTiledParityInstance(Rng &Rand,
-                                                     unsigned MaxSize) {
+/// An instance for the dense/sparse safety-test parity oracle. Half the
+/// draws are sparse graphs of 520-679 vertices, so the sparse rows and the
+/// arena's insert/erase bookkeeping see long rows over many words; the
+/// rest are small dense-ish graphs where merges quickly build high-degree
+/// classes. K rides along in P.K as the degree-cache pressure.
+static CoalescingProblem generateSafetyParityInstance(Rng &Rand,
+                                                      unsigned MaxSize) {
   CoalescingProblem P;
   if (Rand.flip(0.5)) {
     unsigned N = 520 + static_cast<unsigned>(Rand.nextBelow(160));
@@ -347,11 +346,12 @@ static bool checkRollbackOnInstance(const CoalescingProblem &P,
                                 Error);
 }
 
-/// Tiled-parity oracle wrapper; the op script is derived from the trial
-/// seed so reproducers replay the exact merge/rollback/probe sequence.
-static bool checkTiledParityOnInstance(const CoalescingProblem &P,
-                                       uint64_t TrialSeedValue,
-                                       std::string *Error) {
+/// Safety-test parity oracle wrapper; the op script is derived from the
+/// trial seed so reproducers replay the exact merge/rollback/probe
+/// sequence.
+static bool checkSafetyParityOnInstance(const CoalescingProblem &P,
+                                        uint64_t TrialSeedValue,
+                                        std::string *Error) {
   Rng OpRand(deriveSeed(TrialSeedValue, "sparse-tiled-ops"));
   unsigned K = P.K ? P.K : 4;
   return checkSparseTiledParity(P.G, K, 3 * P.G.numVertices() / 2 + 16,
@@ -602,16 +602,16 @@ const std::vector<Property> &testing::allProperties() {
 
     Props.push_back(
         {"sparse-tiled-parity",
-         "tiled and walked sparse Briggs/George sweeps agree, and dense and "
-         "sparse briggsSafe/georgeSafe match the textbook rules on the "
-         "quotient, through merges and rollbacks",
+         "dense and sparse briggsSafe/georgeSafe match the textbook rules "
+         "on the quotient, and their watch sets agree, through merges and "
+         "rollbacks",
          [](Rng &Rand, const FuzzConfig &Config, uint64_t Trial) {
            CoalescingProblem P =
-               generateTiledParityInstance(Rand, Config.MaxSize);
+               generateSafetyParityInstance(Rand, Config.MaxSize);
            return runProblemTrial("sparse-tiled-parity", P,
-                                  checkTiledParityOnInstance, Config, Trial);
+                                  checkSafetyParityOnInstance, Config, Trial);
          },
-         checkTiledParityOnInstance});
+         checkSafetyParityOnInstance});
 
     Props.push_back(
         {"workgraph-rollback",

@@ -27,8 +27,8 @@
 ///   format-roundtrip             text/binary serializations round-trip
 ///                                instances exactly (auto-detected)
 ///   workgraph-incremental        WorkGraph vs rebuild-from-scratch
-///   sparse-tiled-parity          tiled bit-row sweeps vs merge-walks on
-///                                sparse cached Briggs/George tests
+///   sparse-tiled-parity          dense and sparse cached Briggs/George
+///                                tests and watch sets vs the quotient
 ///   workgraph-rollback           checkpoint/rollback restores the partition
 ///   merge-colorability-parity    local post-merge greedy-k check vs the
 ///                                whole-quotient peel
