@@ -197,10 +197,11 @@ StrategyRegistry::StrategyRegistry() {
   auto chordal = [](ChordalChain Chain) {
     return [Chain](const CoalescingProblem &P, const StrategyOptions &,
                    StrategyContext &Ctx) {
+      // The gate's elimination order is the driver's first one.
       std::vector<unsigned> Peo;
       if (isChordal(P.G, &Peo) && P.K >= chordalCliqueNumber(P.G, Peo)) {
-        ChordalStrategyResult R =
-            chordalCoalesce(P, Chain, &Ctx.Telemetry, Ctx.Cancel);
+        ChordalStrategyResult R = chordalCoalesce(P, Chain, &Ctx.Telemetry,
+                                                  Ctx.Cancel, std::move(Peo));
         Ctx.TimedOut = R.TimedOut;
         return R.Solution;
       }

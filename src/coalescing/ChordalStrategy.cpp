@@ -15,14 +15,16 @@ using namespace rc;
 ChordalStrategyResult rc::chordalCoalesce(const CoalescingProblem &P,
                                           ChordalChain Chain,
                                           CoalescingTelemetry *Telemetry,
-                                          const CancelToken *Cancel) {
+                                          const CancelToken *Cancel,
+                                          std::vector<unsigned> Peo) {
   auto Count = [Telemetry](EngineEvent E) {
     if (Telemetry)
       Telemetry->count(E);
   };
   // One perfect elimination order per graph the driver decides on: it
   // serves the asserts and that graph's clique tree.
-  std::vector<unsigned> Peo = mcsEliminationOrder(P.G);
+  if (Peo.size() != P.G.numVertices())
+    Peo = mcsEliminationOrder(P.G);
   assert(isPerfectEliminationOrder(P.G, Peo) &&
          "chordal strategy requires a chordal graph");
   assert(P.K >= chordalCliqueNumber(P.G, Peo) &&

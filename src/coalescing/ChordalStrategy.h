@@ -89,11 +89,14 @@ struct ChordalStrategyResult {
 /// Runs the Theorem 5 strategy on \p P, merging the chains \p Chain
 /// selects. Requires \p P.G chordal and \p P.K >= omega(P.G) (asserted).
 /// When \p Telemetry is non-null, merge attempt/commit counters accumulate
-/// into it. Polls \p Cancel between affinities.
+/// into it. Polls \p Cancel between affinities. \p Peo is the MCS perfect
+/// elimination order of \p P.G (mcsEliminationOrder, as isChordal returns
+/// it) when the caller has one; empty, the driver computes it.
 ChordalStrategyResult chordalCoalesce(const CoalescingProblem &P,
                                       ChordalChain Chain = ChordalChain::Any,
                                       CoalescingTelemetry *Telemetry = nullptr,
-                                      const CancelToken *Cancel = nullptr);
+                                      const CancelToken *Cancel = nullptr,
+                                      std::vector<unsigned> Peo = {});
 
 } // namespace rc
 

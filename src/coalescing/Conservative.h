@@ -85,7 +85,8 @@ bool georgeTest(const WorkGraph &WG, unsigned U, unsigned V, unsigned K);
 ///
 /// \p PreMergeGreedy is the caller's promise that the current quotient is
 /// greedy-k-colorable, and requires the degree cache enabled at \p K.
-/// With it the probe checks only the merged class's k-core neighbourhood
+/// With it the probe checks only the merged class's k-core neighbourhood,
+/// peeling as it explores and stopping once the merged class peels
 /// (WorkGraph::mergedQuotientGreedyKColorable); otherwise it re-peels the
 /// whole quotient (WorkGraph::quotientGreedyKColorable). Both give the same
 /// answer and stuck set.

@@ -36,35 +36,43 @@ WorkGraph::WorkGraph(const Graph &G, unsigned DenseThreshold)
   }
 }
 
+template <typename Visitor>
+void WorkGraph::forEachNeighbor(unsigned C, Visitor Visit) const {
+  if (Dense) {
+    const uint64_t *R = ClassEdges.row(C);
+    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
+      for (uint64_t B = R[W]; B; B &= B - 1)
+        Visit(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
+  } else {
+    for (unsigned X : ClassArena.row(C))
+      Visit(X);
+  }
+}
+
 void WorkGraph::enableDegreeCache(unsigned K) {
   assert(K > 0 && "degree cache needs a positive k");
   CacheK = K;
   unsigned N = numOriginalVertices();
-  if (Dense) {
-    // The masks are the whole cache: the tests sweep them word-at-a-time,
-    // and significantNeighbors() popcounts on demand, so there are no
-    // per-class counters to maintain through merges.
-    SigWords.assign(ClassEdges.wordsPerRow(), 0);
-    ExactKWords.assign(ClassEdges.wordsPerRow(), 0);
-    for (unsigned V = 0; V < N; ++V)
-      if (Rep[V] == V)
-        setDegreeBits(V, classDegree(V));
-    return;
-  }
-  // Sparse mode keeps the same threshold masks (probed per neighbor by
-  // the merge-walk tests) plus the per-class significant-neighbor
-  // counters the O(1) free-pass shortcuts read.
   SigCount.assign(N, 0);
   SigWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
   ExactKWords.assign((static_cast<size_t>(N) + 63) / 64, 0);
+  // Each significant class counts itself into its neighbors' counters, so
+  // only the (usually few) rows of significant classes are walked. While
+  // every class is a singleton its row is the input graph's sorted list,
+  // which is cheaper to walk than a bit row.
+  const bool Singletons = NumClasses == N;
   for (unsigned V = 0; V < N; ++V) {
     if (Rep[V] != V)
       continue;
     setDegreeBits(V, classDegree(V));
     if (classDegree(V) < K)
       continue;
-    for (unsigned X : ClassArena.row(V))
-      ++SigCount[X];
+    if (Singletons) {
+      for (unsigned X : Original.neighbors(V))
+        ++SigCount[X];
+    } else {
+      forEachNeighbor(V, [this](unsigned X) { ++SigCount[X]; });
+    }
   }
 }
 
@@ -132,6 +140,10 @@ bool WorkGraph::briggsSafe(unsigned CU, unsigned CV) const {
   assert(CacheK && "the safety tests read the degree cache");
   assert(CU != CV && "testing a merge of one class with itself");
   const unsigned K = CacheK;
+  // The high-degree count is at most SU + SV (overlap corrections only
+  // shrink it), so the test passes without looking at any neighbor.
+  if (SigCount[CU] + SigCount[CV] < K)
+    return true;
   if (Dense) {
     // The sweep counts interfering endpoints themselves when they are
     // significant, so the bar is raised to compensate.
@@ -140,10 +152,6 @@ bool WorkGraph::briggsSafe(unsigned CU, unsigned CV) const {
       Limit += (Deg[CU] >= K) + (Deg[CV] >= K);
     return briggsHighDegreeBelow(CU, CV, Limit);
   }
-  // The high-degree count is at most SU + SV (overlap corrections only
-  // shrink it), so the test passes without looking at any neighbor.
-  if (SigCount[CU] + SigCount[CV] < K)
-    return true;
   // The walk skips the endpoints, so the limit needs no adjacency
   // correction.
   unsigned High = 0;
@@ -154,14 +162,14 @@ bool WorkGraph::briggsSafe(unsigned CU, unsigned CV) const {
 bool WorkGraph::georgeSafe(unsigned CU, unsigned CV) const {
   assert(CacheK && "the safety tests read the degree cache");
   assert(CU != CV && "testing a merge of one class with itself");
-  if (Dense)
-    return georgeWitnessesEmpty(CU, CV);
   // Free pass when CU has no significant neighbor besides CV.
   unsigned SU = SigCount[CU];
-  if (ClassArena.rowSize(CV) >= CacheK && classesAdjacent(CU, CV))
+  if (classDegree(CV) >= CacheK && classesAdjacent(CU, CV))
     --SU;
   if (SU == 0)
     return true;
+  if (Dense)
+    return georgeWitnessesEmpty(CU, CV);
   return !forEachGeorgeWitnessSparse(CU, CV, [](unsigned) { return true; });
 }
 
@@ -237,21 +245,6 @@ void WorkGraph::updateDegreeCache(unsigned Root, unsigned Loser,
   const unsigned RootDegOld =
       RootDegNew - static_cast<unsigned>(NewNeighbors.size());
 
-  if (Dense) {
-    // Dense mode keeps no per-class counters — only the threshold masks.
-    // A one-step degree change flips a class's bits only when it straddles
-    // the significance or exactly-K thresholds.
-    for (unsigned X : Commons) {
-      unsigned NewDeg = classDegree(X);
-      if (NewDeg == K - 1 || NewDeg == K)
-        setDegreeBits(X, Undo ? NewDeg + 1 : NewDeg);
-    }
-    setDegreeBits(Root, Undo ? RootDegOld : RootDegNew);
-    // Degree 0 on merge clears both of the dead loser's mask bits (K > 0).
-    setDegreeBits(Loser, Undo ? LoserDeg : 0);
-    return;
-  }
-
   // Merge-direction delta; the undo direction negates every step. Unsigned
   // counter arithmetic is modular, so intermediate wraps cancel exactly.
   const unsigned D = Undo ? ~0u : 1u;
@@ -266,8 +259,7 @@ void WorkGraph::updateDegreeCache(unsigned Root, unsigned Loser,
   // already significant, only the newly adjacent ones do.
   if (RootDegNew >= K) {
     if (RootDegOld < K) {
-      for (unsigned X : ClassArena.row(Root))
-        SigCount[X] += D;
+      forEachNeighbor(Root, [&](unsigned X) { SigCount[X] += D; });
     } else {
       for (unsigned X : NewNeighbors)
         SigCount[X] += D;
@@ -275,25 +267,26 @@ void WorkGraph::updateDegreeCache(unsigned Root, unsigned Loser,
   }
 
   // The root gains the significant among its new neighbors (their degrees
-  // are unchanged by the merge: they swapped Loser for Root).
+  // are unchanged by the merge: they swapped Loser for Root). Counted
+  // without a branch: the outcome is a coin flip per neighbor.
+  unsigned Gained = 0;
   for (unsigned X : NewNeighbors)
-    if (classDegree(X) >= K)
-      SigCount[Root] += D;
+    Gained += classDegree(X) >= K;
+  SigCount[Root] += Gained * D;
 
   // Common neighbors lost one degree. A common that was exactly at K
   // flipped to insignificant for its whole (post-merge) neighborhood.
   for (unsigned X : Commons) {
     if (classDegree(X) == K - 1)
-      for (unsigned Y : ClassArena.row(X))
-        SigCount[Y] -= D;
+      forEachNeighbor(X, [&](unsigned Y) { SigCount[Y] -= D; });
   }
 
   // SigCount[Loser] is deliberately left at its pre-merge value: the class
   // is dead, and exact LIFO rollback makes the frozen value correct again
   // the moment the class revives.
 
-  // Sparse mode maintains the same threshold masks as dense mode (the
-  // merge-walk tests probe them per neighbor). Bit updates depend
+  // A one-step degree change flips a class's mask bits only when it
+  // straddles the significance or exactly-K thresholds. Bit updates depend
   // only on class degrees, so the undo direction restores them exactly.
   for (unsigned X : Commons) {
     unsigned NewDeg = classDegree(X);
@@ -591,19 +584,10 @@ bool WorkGraph::quotientGreedyKColorable(
       continue;
     Removed[V] = true;
     ++Eliminated;
-    auto dropNeighbor = [&](unsigned W) {
+    forEachNeighbor(V, [&](unsigned W) {
       if (!Removed[W] && DegLeft[W]-- == K)
         Queue.push_back(W);
-    };
-    if (Dense) {
-      const uint64_t *R = ClassEdges.row(V);
-      for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
-        for (uint64_t B = R[W]; B; B &= B - 1)
-          dropNeighbor(W * 64 + static_cast<unsigned>(std::countr_zero(B)));
-    } else {
-      for (unsigned W : ClassArena.row(V))
-        dropNeighbor(W);
-    }
+    });
   }
   if (StuckReps) {
     StuckReps->clear();
@@ -627,11 +611,11 @@ bool WorkGraph::mergedQuotientGreedyKColorable(
     StuckReps->clear();
 
   // A k-core class has degree >= K (the significance mask) and at least K
-  // significant neighbors; anything else falls in the first two rounds of
-  // any elimination. If C itself falls there the k-core, which would
-  // contain C, is empty.
+  // significant neighbors — a candidate; anything else falls in the first
+  // two rounds of any elimination. If C itself falls there the k-core,
+  // which would contain C, is empty.
   auto Bit = [](unsigned X) { return uint64_t(1) << (X & 63); };
-  if (!(SigWords[C >> 6] & Bit(C)) || significantNeighbors(C) < K)
+  if (!(SigWords[C >> 6] & Bit(C)) || SigCount[C] < K)
     return true;
 
   // The scratch masks hold only bits of the classes the previous call
@@ -640,30 +624,64 @@ bool WorkGraph::mergedQuotientGreedyKColorable(
   if (LocalSeen.size() != Words) {
     LocalSeen.assign(Words, 0);
     LocalIn.assign(Words, 0);
+    LocalWalked.assign(Words, 0);
     LocalDeg.assign(numOriginalVertices(), 0);
     LocalTouched.clear();
   }
   for (unsigned X : LocalTouched)
-    LocalSeen[X >> 6] = LocalIn[X >> 6] = 0;
+    LocalSeen[X >> 6] = LocalIn[X >> 6] = LocalWalked[X >> 6] = 0;
   LocalTouched.clear();
   LocalComp.clear();
-  auto classify = [&](unsigned W, bool Candidate) {
+  auto classify = [&](unsigned W) {
     LocalSeen[W >> 6] |= Bit(W);
     LocalTouched.push_back(W);
-    if (Candidate) {
+    if (SigCount[W] >= K) {
       LocalIn[W >> 6] |= Bit(W);
       LocalComp.push_back(W);
     }
   };
-  classify(C, true);
+  classify(C);
+
+  // Peels \p X and cascades: every walked, unpeeled neighbor loses one
+  // unpeeled candidate neighbor and peels in turn when that leaves it
+  // below K. Candidates not walked yet are recounted by their own walk.
+  // Returns true once C peels, which empties the k-core.
+  auto peel = [&](unsigned X) {
+    LocalQueue.clear();
+    LocalQueue.push_back(X);
+    while (!LocalQueue.empty()) {
+      unsigned Y = LocalQueue.back();
+      LocalQueue.pop_back();
+      if (Y == C)
+        return true;
+      LocalIn[Y >> 6] &= ~Bit(Y);
+      auto dropNeighbor = [&](unsigned Z) {
+        if (LocalDeg[Z]-- == K)
+          LocalQueue.push_back(Z);
+      };
+      if (Dense) {
+        const uint64_t *R = ClassEdges.row(Y);
+        for (size_t W = 0; W < Words; ++W)
+          for (uint64_t B = R[W] & LocalIn[W] & LocalWalked[W]; B;
+               B &= B - 1)
+            dropNeighbor(static_cast<unsigned>(W * 64 + std::countr_zero(B)));
+      } else {
+        for (unsigned Z : ClassArena.row(Y))
+          if (LocalIn[Z >> 6] & LocalWalked[Z >> 6] & Bit(Z))
+            dropNeighbor(Z);
+      }
+    }
+    return false;
+  };
 
   // Breadth-first over the candidates reachable from C, classifying each
-  // significant neighbor once and recording every component class's
-  // in-component degree (a candidate neighbor of a component class is in
-  // the component). C's own count is the third screening round: fewer
-  // than K candidate neighbors and C peels, so the merge passes.
+  // significant neighbor once. A class's count of unpeeled candidate
+  // neighbors is complete when its walk ends, since every candidate
+  // neighbor is classified by then; below K, the class peels at once.
+  // C's own walk is the third screening round.
   for (size_t I = 0; I < LocalComp.size(); ++I) {
     unsigned X = LocalComp[I];
+    assert((LocalIn[X >> 6] & Bit(X)) && "an unwalked candidate peeled");
     unsigned InDeg = 0;
     if (Dense) {
       // Word-parallel over the matrix row: only unclassified neighbors are
@@ -671,54 +689,33 @@ bool WorkGraph::mergedQuotientGreedyKColorable(
       const uint64_t *R = ClassEdges.row(X);
       for (size_t W = 0; W < Words; ++W) {
         uint64_t Sig = R[W] & SigWords[W];
-        for (uint64_t B = Sig & ~LocalSeen[W]; B; B &= B - 1) {
-          unsigned Y = static_cast<unsigned>(W * 64 + std::countr_zero(B));
-          classify(Y, significantNeighbors(Y) >= K);
-        }
-        InDeg += static_cast<unsigned>(std::popcount(Sig & LocalIn[W]));
+        for (uint64_t B = Sig & ~LocalSeen[W]; B; B &= B - 1)
+          classify(static_cast<unsigned>(W * 64 + std::countr_zero(B)));
+        // Most words hold no unpeeled candidate and skip the popcount.
+        if (uint64_t In = Sig & LocalIn[W])
+          InDeg += static_cast<unsigned>(std::popcount(In));
       }
     } else {
       // Branch-light: most neighbors are classified already, and the
-      // in-component count needs no significance test (LocalIn is a
-      // subset of the significant classes).
+      // candidate count needs no significance test (LocalIn is a subset
+      // of the significant classes).
       for (unsigned Y : ClassArena.row(X)) {
         if (SigWords[Y >> 6] & ~LocalSeen[Y >> 6] & Bit(Y))
-          classify(Y, significantNeighbors(Y) >= K);
+          classify(Y);
         InDeg += static_cast<unsigned>((LocalIn[Y >> 6] >> (Y & 63)) & 1);
       }
     }
+    if (InDeg < K) {
+      if (peel(X))
+        return true;
+      continue;
+    }
     LocalDeg[X] = InDeg;
-    if (I == 0 && InDeg < K)
-      return true;
+    LocalWalked[X >> 6] |= Bit(X);
   }
 
-  // The k-core lies inside the component, so peeling the component alone
-  // finds it exactly. Once C peels, the k-core is empty.
-  LocalQueue.clear();
-  for (unsigned X : LocalComp)
-    if (LocalDeg[X] < K)
-      LocalQueue.push_back(X);
-  auto dropNeighbor = [&](unsigned W) {
-    if (LocalDeg[W]-- == K)
-      LocalQueue.push_back(W);
-  };
-  while (!LocalQueue.empty()) {
-    unsigned X = LocalQueue.back();
-    LocalQueue.pop_back();
-    if (X == C)
-      return true;
-    LocalIn[X >> 6] &= ~Bit(X);
-    if (Dense) {
-      const uint64_t *R = ClassEdges.row(X);
-      for (size_t W = 0; W < Words; ++W)
-        for (uint64_t B = R[W] & LocalIn[W]; B; B &= B - 1)
-          dropNeighbor(static_cast<unsigned>(W * 64 + std::countr_zero(B)));
-    } else {
-      for (unsigned Y : ClassArena.row(X))
-        if (LocalIn[Y >> 6] & Bit(Y))
-          dropNeighbor(Y);
-    }
-  }
+  // Every candidate of the component was walked, and each unpeeled one
+  // keeps K unpeeled neighbors among them: that is the k-core.
   if (StuckReps) {
     for (unsigned X : LocalComp)
       if (LocalIn[X >> 6] & Bit(X))

@@ -32,14 +32,16 @@
 ///    probing strategies (brute-force conservative test, exact branch and
 ///    bound, optimistic de-coalescing) no longer deep-copy the graph.
 ///  - Degree cache. enableDegreeCache(k) maintains, through every merge and
-///    rollback, the number of significant neighbor classes (degree >= k) of
-///    each class, plus dense bit masks of the significant and exactly-k
-///    classes. The Briggs and George safety tests read these instead of
-///    re-walking and re-probing neighbor sets.
+///    rollback and in both adjacency modes, the number of significant
+///    neighbor classes (degree >= k) of each class, plus bit masks of the
+///    significant and exactly-k classes. The Briggs and George safety tests
+///    and the local colorability check read these instead of re-walking
+///    and re-probing neighbor sets.
 ///  - Greedy-k-colorability checks. quotientGreedyKColorable peels the
 ///    whole quotient; mergedQuotientGreedyKColorable decides a speculative
-///    merge from the merged class's k-core neighbourhood when the quotient
-///    before it is known to be greedy-k-colorable.
+///    merge from the merged class's k-core neighbourhood, peeling as it
+///    explores, when the quotient before it is known to be
+///    greedy-k-colorable.
 ///  - Instrumentation. An optional CoalescingTelemetry sink counts engine
 ///    events (merges, rollbacks, interference queries, colorability
 ///    checks); an optional EngineObserver sees, per committed merge, the
@@ -141,12 +143,12 @@ public:
 
   // --- Degree cache ------------------------------------------------------
 
-  /// Starts maintaining significance state for \p K: bit masks of the
-  /// significant (degree >= \p K) and exactly-K classes in both adjacency
-  /// modes, plus, in sparse mode, a per-class count of significant
-  /// neighbors. The cache is updated inside merge() and its undo, so
-  /// briggsSafe/georgeSafe read masked popcounts (or counters) instead of
-  /// probing neighbor sets. Must not be enabled while
+  /// Starts maintaining significance state for \p K in both adjacency
+  /// modes: bit masks of the significant (degree >= \p K) and exactly-K
+  /// classes, plus a per-class count of significant neighbors. The cache
+  /// is updated inside merge() and its undo, so briggsSafe/georgeSafe read
+  /// masked popcounts (or counters) instead of probing neighbor sets, and
+  /// significantNeighbors is one load. Must not be enabled while
   /// merges that predate the call are still subject to rollback (enable
   /// right after construction, or after the last checkpoint that could
   /// unwind earlier merges has been committed). Re-enabling with a
@@ -157,28 +159,20 @@ public:
   unsigned degreeCacheK() const { return CacheK; }
 
   /// Number of significant neighbor classes (degree >= the cache K) of
-  /// class \p C (a representative). Requires an enabled cache. Sparse mode
-  /// reads the incrementally maintained counter; dense mode computes the
-  /// count on demand from the row and the significance mask — merges then
-  /// maintain no per-class counters at all.
+  /// class \p C (a representative): the incrementally maintained counter,
+  /// in both modes. Requires an enabled cache.
   unsigned significantNeighbors(unsigned C) const {
     assert(CacheK && "degree cache is not enabled");
-    if (!Dense)
-      return SigCount[C];
-    const uint64_t *R = ClassEdges.row(C);
-    unsigned S = 0;
-    for (unsigned W = 0; W < ClassEdges.wordsPerRow(); ++W)
-      S += static_cast<unsigned>(std::popcount(R[W] & SigWords[W]));
-    return S;
+    return SigCount[C];
   }
 
   /// Briggs' test for merging classes \p CU and \p CV (representatives)
   /// at the cache K: true iff fewer than K neighbor classes of the merged
   /// class keep degree >= K. A common neighbor loses one degree in the
   /// merge and is counted once; the endpoints themselves are never
-  /// counted. Requires an enabled cache. Dense mode answers with one
-  /// masked word sweep; sparse mode passes for free when the two classes'
-  /// significant-neighbor counters sum below K, and otherwise merge-walks
+  /// counted. Requires an enabled cache. Passes for free when the two
+  /// classes' significant-neighbor counters sum below K; otherwise dense
+  /// mode answers with one masked word sweep and sparse mode merge-walks
   /// the sorted rows (forEachBriggsBlockerSparse). Both paths give the
   /// same answer.
   bool briggsSafe(unsigned CU, unsigned CV) const;
@@ -186,8 +180,8 @@ public:
   /// George's test for merging class \p CU into \p CV at the cache K:
   /// true iff every significant neighbor class of \p CU other than \p CV
   /// is adjacent to \p CV. Asymmetric. Requires an enabled cache; same
-  /// representation dispatch as briggsSafe, with a free sparse pass when
-  /// \p CU has no significant neighbor besides \p CV.
+  /// representation dispatch as briggsSafe, with a free pass when \p CU
+  /// has no significant neighbor besides \p CV.
   bool georgeSafe(unsigned CU, unsigned CV) const;
 
   /// Sparse cached mode: appends the Briggs blockers for a merge of \p CU
@@ -271,12 +265,17 @@ public:
   /// between other classes, so every component of the post-merge k-core
   /// that avoids \p C was already a k-core before it; the k-core is
   /// therefore empty or connected and containing \p C. A k-core class has
-  /// degree >= K and >= K significant neighbors, so the check
-  ///  1. passes when fewer than K neighbors of \p C clear both bars (one
-  ///     sweep of \p C's row against the cached degree state), and
+  /// degree >= K and >= K significant neighbors (a candidate), so the
+  /// check
+  ///  1. passes when \p C is no candidate or fewer than K of its neighbors
+  ///     are (one walk of \p C's row against the cached degree state), and
   ///     otherwise
-  ///  2. peels only the component of \p C among classes clearing both
-  ///     bars.
+  ///  2. walks the candidate component of \p C breadth-first, peeling as
+  ///     it goes: a walked class with fewer than K unpeeled candidate
+  ///     neighbors peels at once, and its peel cascades into the classes
+  ///     walked before it. The check passes the moment \p C peels; when
+  ///     the component is exhausted first, the unpeeled classes are the
+  ///     k-core.
   /// Returns the same decision and the same sorted \p StuckReps as the
   /// whole-quotient check, and counts and times as one colorability
   /// check. Requires the degree cache enabled at \p K.
@@ -365,6 +364,11 @@ private:
   bool forEachGeorgeWitnessSparse(unsigned CU, unsigned CV,
                                   Visitor Visit) const;
 
+  /// Calls \p Visit on every neighbor class of class \p C, in ascending
+  /// order, through the mode's adjacency.
+  template <typename Visitor>
+  void forEachNeighbor(unsigned C, Visitor Visit) const;
+
   /// Class degree through the mode-appropriate representation.
   unsigned classDegree(unsigned C) const {
     return Dense ? Deg[C] : ClassArena.rowSize(C);
@@ -421,9 +425,9 @@ private:
   unsigned NumClasses = 0;
 
   /// Degree cache (enableDegreeCache). CacheK == 0 means disabled.
-  /// SigCount[C] (sparse mode only) counts neighbor classes of live class
-  /// C with degree >= CacheK; entries of dead classes freeze at their
-  /// pre-merge value, which is exactly what rollback restores.
+  /// SigCount[C] counts neighbor classes of live class C with degree >=
+  /// CacheK; entries of dead classes freeze at their pre-merge value, which
+  /// is exactly what rollback restores.
   /// SigWords/ExactKWords (both modes) are one bit per class: degree
   /// >= CacheK resp. == CacheK, with dead classes cleared. Dense mode
   /// sweeps them word-parallel against the bit rows; sparse mode probes
@@ -433,14 +437,15 @@ private:
   std::vector<uint64_t> SigWords;
   std::vector<uint64_t> ExactKWords;
   /// mergedQuotientGreedyKColorable scratch, sized once per engine.
-  /// LocalSeen and LocalIn are class bit masks: classified, and in the
-  /// candidate component (cleared again as the peel removes a class).
+  /// LocalSeen, LocalIn and LocalWalked are class bit masks: classified,
+  /// an unpeeled candidate, and walked without peeling at once.
   /// LocalTouched lists the classes whose bits a call set, so the next
-  /// call clears just their words. LocalDeg holds a component class's
-  /// remaining in-component degree; LocalComp lists the component and
-  /// LocalQueue is the peel work list.
+  /// call clears just their words. LocalDeg holds a walked class's count
+  /// of unpeeled candidate neighbors; LocalComp lists the candidates in
+  /// walk order and LocalQueue is the peel work list.
   mutable std::vector<uint64_t> LocalSeen;
   mutable std::vector<uint64_t> LocalIn;
+  mutable std::vector<uint64_t> LocalWalked;
   mutable std::vector<unsigned> LocalTouched;
   mutable std::vector<unsigned> LocalDeg;
   mutable std::vector<unsigned> LocalComp;

@@ -858,6 +858,29 @@ bool testing::checkMergeColorabilityParity(const Graph &G, unsigned K,
 
   std::vector<unsigned> LocalStuck, FullStuck;
   uint64_t Probes = 0;
+  // The local check classifies classes by their maintained significant-
+  // neighbor counters; each must equal a recount on the quotient graph.
+  auto countersMatch = [&](const WorkGraph &WG, const char *Mode,
+                           unsigned Step, const char *After) {
+    Graph Q = WG.quotientGraph();
+    std::vector<unsigned> Id = WG.solution().ClassIds;
+    for (unsigned X = 0; X < N; ++X) {
+      if (WG.classOf(X) != X)
+        continue;
+      unsigned Want = 0;
+      for (unsigned Y : Q.neighbors(Id[X]))
+        Want += Q.degree(Y) >= K;
+      if (WG.significantNeighbors(X) != Want) {
+        std::ostringstream OS;
+        OS << "merge-colorability-parity: " << Mode << " step " << Step
+           << ": after the " << After << ", class " << X << " counts "
+           << WG.significantNeighbors(X) << " significant neighbors at k="
+           << K << ", the quotient " << Want;
+        return fail(Error, OS.str());
+      }
+    }
+    return true;
+  };
   // Returns the probe's decision, or -1 after reporting a mismatch.
   auto probe = [&](WorkGraph &WG, const char *Mode, unsigned Step,
                    unsigned U, unsigned V) -> int {
@@ -879,9 +902,14 @@ bool testing::checkMergeColorabilityParity(const Graph &G, unsigned K,
       WG.commit();
     else
       WG.rollback();
+    if (!countersMatch(WG, Mode, Step, Full ? "commit" : "rollback"))
+      return -1;
     return Full;
   };
 
+  if (!countersMatch(Dense, "dense", 0, "cache enable") ||
+      !countersMatch(Sparse, "sparse", 0, "cache enable"))
+    return false;
   for (unsigned Step = 0; Step < Steps; ++Step) {
     unsigned U = static_cast<unsigned>(Rand.nextBelow(N));
     unsigned V = static_cast<unsigned>(Rand.nextBelow(N));

@@ -183,8 +183,9 @@ bool checkSparseTiledParity(const Graph &G, unsigned K, unsigned Steps,
 /// (quotientGreedyKColorable) agree on pass/fail and on the exact sorted
 /// stuck set; a passing merge is committed, a failing one rolled back, so
 /// the quotient stays greedy-k-colorable — the local test's precondition.
-/// Both engines must decide every probe alike and count one colorability
-/// check per call.
+/// After each commit and rollback, every live class's significantNeighbors
+/// counter must equal a recount on the quotient graph. Both engines must
+/// decide every probe alike and count one colorability check per call.
 bool checkMergeColorabilityParity(const Graph &G, unsigned K, unsigned Steps,
                                   Rng &Rand, std::string *Error);
 

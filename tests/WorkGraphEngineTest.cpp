@@ -292,6 +292,44 @@ TEST(WorkGraphLocalColorabilityTest, RejectionNamesTheSameStuckSet) {
   expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/false, {0, 2, 5, 6});
 }
 
+TEST(WorkGraphLocalColorabilityTest, MergedClassPeelsBeforeTheWalkEnds) {
+  // Merging 0 and 1 gives the path 6-4-2-C-3-5-7-9-11 at k=2. The
+  // candidates (degree >= 2 with two significant neighbors) are C, 2, 3, 5
+  // and 7; 4 and 9 have one significant neighbor each. C's walk finds the
+  // candidates 2 and 3. 2's walk finds no candidate besides C, so 2 peels
+  // and takes C below k: the probe passes with 3 still unwalked and 5 and
+  // 7 never classified.
+  GraphBuilder GB(12);
+  GB.addEdge(6, 4);
+  GB.addEdge(4, 2);
+  GB.addEdge(2, 0);
+  GB.addEdge(1, 3);
+  GB.addEdge(3, 5);
+  GB.addEdge(5, 7);
+  GB.addEdge(7, 9);
+  GB.addEdge(9, 11);
+  Graph G = std::move(GB).build();
+  expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/true, {});
+}
+
+TEST(WorkGraphLocalColorabilityTest, PartOfTheComponentPeelsMidWalk) {
+  // Merging 0 and 1 closes the triangle C-3-5 at k=2, and C also carries
+  // the path C-2-4-6. C's walk finds the candidates 2, 3 and 5. 2 is walked
+  // next: its only candidate neighbor is C (4 has one significant
+  // neighbor), so it peels and C drops to two unpeeled candidate
+  // neighbors while 3 and 5 wait unwalked. They close the component, and
+  // the stuck set is the triangle.
+  GraphBuilder GB(7);
+  GB.addEdge(0, 2);
+  GB.addEdge(2, 4);
+  GB.addEdge(4, 6);
+  GB.addEdge(0, 3);
+  GB.addEdge(3, 5);
+  GB.addEdge(5, 1);
+  Graph G = std::move(GB).build();
+  expectLocalProbeMatchesFull(G, 2, /*ExpectPass=*/false, {0, 3, 5});
+}
+
 TEST(WorkGraphTelemetryTest, CountersTrackTheOpScript) {
   Graph G = pathGraph();
   WorkGraph WG(G);
